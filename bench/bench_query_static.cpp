@@ -18,6 +18,7 @@
 #include "palm/heatmap.h"
 #include "palm/server.h"
 #include "series/kernels.h"
+#include "storage/io_scope.h"
 
 namespace coconut {
 namespace bench {
@@ -59,11 +60,10 @@ void RunQuery(benchmark::State& state, palm::IndexFamily family,
   auto queries = workload::MakeNoisyQueries(collection, 64, 0.4, kQuerySeed);
 
   core::QueryCounters counters;
-  storage::IoStats io;
   size_t q = 0;
-  prepared->arena.storage->tracker()->Clear();
-  prepared->arena.storage->tracker()->Enable();
-  const storage::IoStats before = *prepared->arena.storage->io_stats();
+  // Every query of the run charges this scope, which records the accesses
+  // behind the locality figure.
+  storage::IoScope scope(/*capture_accesses=*/true);
   for (auto _ : state) {
     auto result =
         exact ? prepared->index->ExactSearch(queries[q % queries.size()], {},
@@ -73,8 +73,7 @@ void RunQuery(benchmark::State& state, palm::IndexFamily family,
     benchmark::DoNotOptimize(result.value().distance_sq);
     ++q;
   }
-  io = prepared->arena.storage->io_stats()->Since(before);
-  prepared->arena.storage->tracker()->Disable();
+  const storage::IoStats& io = scope.stats();
 
   const double per_query = q > 0 ? 1.0 / q : 0.0;
   state.counters["reads_per_query"] =
@@ -84,7 +83,7 @@ void RunQuery(benchmark::State& state, palm::IndexFamily family,
   state.counters["leaves_pruned_per_query"] =
       static_cast<double>(counters.leaves_pruned) * per_query;
   state.counters["access_locality"] =
-      palm::AccessLocality(prepared->arena.storage->tracker()->events());
+      palm::AccessLocality(scope.accesses());
   // Which series::kernels tier scored the distances (COCONUT_FORCE_KERNEL
   // pins it), so runs under different dispatch modes stay comparable.
   state.SetLabel(series::kernels::IsaName(series::kernels::ActiveIsa()));

@@ -125,9 +125,10 @@ int main() {
     req.index = index;
     req.query = pattern;
     req.capture_heatmap = true;
-    (void)server->Query(req).TakeValue();
-    auto* mgr = server->index_storage(index);
-    palm::HeatMap map = palm::BuildHeatMap(mgr->tracker()->events(), 8, 56);
+    req.heatmap_time_bins = 8;
+    req.heatmap_location_bins = 56;
+    const palm::HeatMap map =
+        server->service()->Query(req).TakeValue().heatmap;
     std::printf("[%s] %llu page accesses over %llu files\n%s\n", index.c_str(),
                 static_cast<unsigned long long>(map.total_events),
                 static_cast<unsigned long long>(map.distinct_files),

@@ -228,6 +228,8 @@ class Clsm {
   uint64_t LevelCapacity(size_t level) const;
   std::string RunName(size_t level);
 
+  /// See TemporalPartitioningIndex::ReadPool: async runs are read with
+  /// direct preads, sparing concurrent readers the pool's one mutex.
   storage::BufferPool* ReadPool() const { return async() ? nullptr : pool_; }
 
   /// Builds an immutable snapshot of the current state, swaps it into

@@ -1,5 +1,6 @@
 #include "core/raw_store.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "storage/page.h"
@@ -123,25 +124,38 @@ Status RawSeriesStore::Get(uint64_t id, std::span<float> out) const {
   if (out.size() != static_cast<size_t>(series_length_)) {
     return Status::InvalidArgument("output span length mismatch");
   }
+  return GetRange(id, out);
+}
+
+Status RawSeriesStore::GetRange(uint64_t first, std::span<float> out) const {
+  const size_t len = static_cast<size_t>(series_length_);
+  if (out.size() % len != 0) {
+    return Status::InvalidArgument("output span is not whole series");
+  }
+  const uint64_t n = out.size() / len;
   // Shared: concurrent readers proceed together (preads are independent),
   // while Append/Flush take the lock exclusively to move the buffer.
   std::shared_lock<std::shared_mutex> lock(mu_);
-  if (id >= count_) {
-    return Status::NotFound("series id " + std::to_string(id) +
+  if (first + n > count_) {
+    return Status::NotFound("series id " + std::to_string(first + n - 1) +
                             " out of range");
   }
   const uint64_t persisted = count_ - buffered_series_;
-  if (id >= persisted) {
-    // Still in the append buffer.
-    const size_t pos =
-        static_cast<size_t>(id - persisted) * series_length_;
-    std::memcpy(out.data(), append_buffer_.data() + pos,
-                series_length_ * sizeof(float));
-    return Status::OK();
+  const uint64_t from_file =
+      first < persisted ? std::min(n, persisted - first) : 0;
+  if (from_file > 0) {
+    COCONUT_RETURN_NOT_OK(
+        file_->ReadAt(kPageSize + first * len * sizeof(float), out.data(),
+                      from_file * len * sizeof(float)));
   }
-  const uint64_t offset =
-      kPageSize + id * static_cast<uint64_t>(series_length_) * sizeof(float);
-  return file_->ReadAt(offset, out.data(), series_length_ * sizeof(float));
+  if (from_file < n) {
+    // The tail is still in the append buffer.
+    const uint64_t pos = first + from_file - persisted;
+    std::memcpy(out.data() + from_file * len,
+                append_buffer_.data() + pos * len,
+                (n - from_file) * len * sizeof(float));
+  }
+  return Status::OK();
 }
 
 }  // namespace core

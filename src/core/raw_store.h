@@ -51,6 +51,10 @@ class RawSeriesStore {
   /// Reads series `id` into `out` (size series_length).
   Status Get(uint64_t id, std::span<float> out) const;
 
+  /// Reads the out.size() / series_length consecutive series starting at
+  /// `first` into `out` — one sequential read for the persisted part.
+  Status GetRange(uint64_t first, std::span<float> out) const;
+
   /// Drains the append buffer and persists the header.
   Status Flush();
 
@@ -64,6 +68,8 @@ class RawSeriesStore {
     return count_;
   }
   int series_length() const { return series_length_; }
+  /// Path of the backing file.
+  const std::string& path() const { return file_->path(); }
   uint64_t file_bytes() const {
     std::shared_lock<std::shared_mutex> lock(mu_);
     return file_->size_bytes();

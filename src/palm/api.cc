@@ -13,6 +13,7 @@
 #include "palm/sharded_index.h"
 #include "palm/sharded_streaming_index.h"
 #include "series/series.h"
+#include "storage/io_scope.h"
 #include "stream/epoch.h"
 
 namespace coconut {
@@ -1890,8 +1891,25 @@ Result<std::unique_ptr<Service>> Service::Create(const std::string& root_dir,
   COCONUT_ASSIGN_OR_RETURN(std::unique_ptr<storage::StorageManager> probe,
                            storage::StorageManager::Create(root_dir));
   (void)probe;
+  // The dataset registry is memory-only: datasets a previous process
+  // registered are unreachable, so their files go.
+  std::error_code ec;
+  std::filesystem::remove_all(root_dir + "/datasets", ec);
+  if (ec) {
+    return Status::IoError("failed to remove stale datasets under '" +
+                           root_dir + "': " + ec.message());
+  }
   return std::unique_ptr<Service>(
       new Service(root_dir, pool_bytes_per_index));
+}
+
+Service::Dataset::~Dataset() {
+  if (storage == nullptr) return;
+  const std::string directory = storage->directory();
+  store.reset();
+  storage.reset();
+  std::error_code ec;
+  std::filesystem::remove_all(directory, ec);
 }
 
 Service::Service(std::string root_dir, size_t pool_bytes)
@@ -1961,7 +1979,8 @@ Result<Service::IndexHandle*> Service::ReserveHandle(
 }
 
 Status Service::InitHandleStorage(const std::string& index_name,
-                                  IndexHandle* handle) {
+                                  IndexHandle* handle,
+                                  const std::string& raw_source) {
   COCONUT_ASSIGN_OR_RETURN(
       handle->storage,
       storage::StorageManager::Create(root_dir_ + "/idx_" + index_name));
@@ -2008,6 +2027,12 @@ Status Service::InitHandleStorage(const std::string& index_name,
       return Status::OK();
     }
   }
+  if (!raw_source.empty()) {
+    COCONUT_RETURN_NOT_OK(handle->storage->LinkFile(raw_source, "raw"));
+    COCONUT_ASSIGN_OR_RETURN(
+        handle->raw, core::RawSeriesStore::Open(handle->storage.get(), "raw"));
+    return Status::OK();
+  }
   COCONUT_ASSIGN_OR_RETURN(
       handle->raw,
       core::RawSeriesStore::Create(handle->storage.get(), "raw",
@@ -2025,32 +2050,39 @@ Result<RegisterDatasetResponse> Service::RegisterDataset(
   if (timestamps != nullptr && timestamps->size() != data.size()) {
     return Status::InvalidArgument("one timestamp per series required");
   }
-  // The normalize-and-copy loop scales with the dataset (up to the wire
-  // body cap), so it runs before the lock; the exclusive section is just
-  // the duplicate check and the map insert. A racing duplicate wastes
-  // the copy but stays correct.
-  Dataset ds;
-  ds.data = series::SeriesCollection(data.length());
-  ds.data.Reserve(data.size());
+  // Normalizing and writing the series scales with the dataset (up to
+  // the wire body cap), so it runs before the lock; the exclusive section
+  // is just the duplicate check and the map insert. A racing duplicate
+  // wastes the write (its directory goes with it) but stays correct.
+  auto ds = std::make_shared<Dataset>();
+  COCONUT_ASSIGN_OR_RETURN(
+      ds->storage,
+      storage::StorageManager::Create(
+          root_dir_ + "/datasets/" +
+          std::to_string(next_dataset_dir_.fetch_add(1)) + "-" + name));
+  COCONUT_ASSIGN_OR_RETURN(
+      ds->store, core::RawSeriesStore::Create(
+                     ds->storage.get(), "raw", static_cast<int>(data.length())));
   std::vector<float> buf;
   for (size_t i = 0; i < data.size(); ++i) {
     buf.assign(data[i].begin(), data[i].end());
     series::ZNormalize(buf);
-    ds.data.Append(buf);
+    COCONUT_RETURN_NOT_OK(ds->store->Append(buf).status());
   }
+  COCONUT_RETURN_NOT_OK(ds->store->Flush());
   if (timestamps != nullptr) {
-    ds.timestamps = *timestamps;
+    ds->timestamps = *timestamps;
   } else {
-    ds.timestamps.resize(data.size());
+    ds->timestamps.resize(data.size());
     for (size_t i = 0; i < data.size(); ++i) {
-      ds.timestamps[i] = static_cast<int64_t>(i);
+      ds->timestamps[i] = static_cast<int64_t>(i);
     }
   }
   std::unique_lock<std::shared_mutex> lock(mu_);
   if (datasets_.count(name) != 0) {
     return Status::AlreadyExists("dataset '" + name + "' already registered");
   }
-  datasets_[name] = std::make_shared<const Dataset>(std::move(ds));
+  datasets_[name] = std::move(ds);
   RegisterDatasetResponse response;
   response.dataset = name;
   response.series = data.size();
@@ -2087,15 +2119,19 @@ Result<BuildIndexReport> Service::BuildIndex(const std::string& index_name,
       return Status::NotFound("dataset '" + dataset_name +
                               "' not registered");
     }
-    if (static_cast<int>(ds_it->second->data.length()) !=
-        spec.sax.series_length) {
+    if (ds_it->second->store->series_length() != spec.sax.series_length) {
       return Status::InvalidArgument("spec series_length != dataset length");
     }
     dataset = ds_it->second;
     COCONUT_ASSIGN_OR_RETURN(handle, ReserveHandle(index_name, spec));
   }
   Result<BuildIndexReport> report = Status::Internal("build not started");
-  if (const Status init = InitHandleStorage(index_name, handle); !init.ok()) {
+  // An unsharded index reads the dataset's raw file itself, through a
+  // hard link (sharded ones route every series into shard-local stores).
+  const std::string raw_source =
+      spec.num_shards > 1 ? std::string() : dataset->store->path();
+  if (const Status init = InitHandleStorage(index_name, handle, raw_source);
+      !init.ok()) {
     report = init;
   } else {
     report =
@@ -2125,20 +2161,30 @@ Result<BuildIndexReport> Service::BuildIndexOnHandle(
       handle->static_index,
       CreateStaticIndex(spec, handle->storage.get(), "index",
                         handle->pool.get(), handle->raw.get()));
-  // Sharded indexes route every series into a shard-local raw store; the
-  // handle-level store would be a dead second copy of the dataset (doubled
-  // disk and build I/O), so only unsharded indexes populate it.
-  const bool shard_owned_raw = spec.num_shards > 1;
-  for (size_t i = 0; i < dataset.data.size(); ++i) {
-    if (!shard_owned_raw) {
-      COCONUT_RETURN_NOT_OK(handle->raw->Append(dataset.data[i]).status());
+  // Stream the dataset from disk in chunks: one sequential read per chunk,
+  // and never the whole dataset in memory.
+  constexpr uint64_t kChunkSeries = 1024;
+  const core::RawSeriesStore& source = *dataset.store;
+  const size_t length = static_cast<size_t>(source.series_length());
+  const uint64_t count = source.count();
+  std::vector<float> chunk;
+  for (uint64_t first = 0; first < count; first += kChunkSeries) {
+    const uint64_t n = std::min(kChunkSeries, count - first);
+    chunk.resize(n * length);
+    COCONUT_RETURN_NOT_OK(source.GetRange(first, chunk));
+    for (uint64_t i = 0; i < n; ++i) {
+      COCONUT_RETURN_NOT_OK(handle->static_index->Insert(
+          first + i, std::span<const float>(chunk).subspan(i * length, length),
+          dataset.timestamps[first + i]));
     }
-    COCONUT_RETURN_NOT_OK(handle->static_index->Insert(
-        i, dataset.data[i], dataset.timestamps[i]));
   }
-  COCONUT_RETURN_NOT_OK(handle->raw->Flush());
+  if (spec.num_shards > 1) {
+    // The handle-level store of a sharded index stays empty; an unsharded
+    // one is the dataset's file, never written through.
+    COCONUT_RETURN_NOT_OK(handle->raw->Flush());
+  }
   COCONUT_RETURN_NOT_OK(handle->static_index->Finalize());
-  handle->next_series_id = dataset.data.size();
+  handle->next_series_id = count;
   handle->build_seconds = timer.ElapsedSeconds();
   handle->build_io = handle->storage->io_stats()->Since(before);
   // Sharded builds do their I/O through per-shard storage managers (fresh
@@ -2491,61 +2537,60 @@ Result<QueryReport> Service::Query(const QueryRequest& request) {
           std::to_string(kMaxHeatMapBinsPerAxis) + " per axis");
     }
   }
-  // Cache probe, off the op mutex: serving a hit touches no index state.
-  // A hit requires the entry's snapshot version to equal the index's
-  // current one, so a concurrent admission that lands just after this read
-  // merely orders the (cached) query before the ingest — the answer is
-  // still the exact answer at its version.
   QueryCache* cache = query_cache_.get();
   const bool cacheable = cache != nullptr && QueryCache::Cacheable(request);
-  std::string cache_key;
-  if (cacheable) {
-    cache_key = QueryCache::KeyFor(request);
-    if (std::optional<QueryReport> hit =
-            cache->Lookup(cache_key, IndexVersion(*handle))) {
-      return *std::move(hit);
-    }
-  }
-  // Lock-free read path: a stream that serves queries from epoch-published
-  // snapshots never needs the per-handle op mutex, so a query cannot stall
-  // behind a backpressure-blocked ingest batch. The whole read — tombstone
-  // check, version bracket, scan, cache stamp — sits inside one epoch
-  // guard, so DropIndex's Synchronize (which runs after the tombstone is
-  // set) waits this query out before teardown and before the cache purge.
-  // Heat-map capture mutates the handle's shared access tracker, so it
-  // stays on the serialized path.
-  if (handle->stream_index != nullptr &&
-      handle->stream_index->ConcurrentReadsSafe() && !request.capture_heatmap) {
-    stream::epoch::EpochGuard guard;
+  const std::string cache_key =
+      cacheable ? QueryCache::KeyFor(request) : std::string();
+  // Fill guard: only a scan bracketed by two equal version reads observed
+  // one stable snapshot. The version counter is monotone (never reused,
+  // never rolled back), so a publish racing the scan — a background seal
+  // or merge, or direct-library ingest outside the service — makes the
+  // bracket differ and the entry is simply not stamped: a stale answer
+  // can never be inserted at the new version.
+  const auto answer = [&]() -> Result<QueryReport> {
     if (handle->building.load()) {
       return Status::NotFound("index '" + request.index + "' not found");
     }
-    // Fill guard, lock-free form: the version counter is monotone (never
-    // reused, never rolled back), so two equal bracket reads prove the
-    // scan observed one stable snapshot even though seals/merges publish
-    // concurrently. A racing publish lands between the reads, the bracket
-    // differs, and the entry is simply not stamped — a stale answer can
-    // never be inserted at the new version.
     const uint64_t version_before = cacheable ? IndexVersion(*handle) : 0;
-    Result<QueryReport> report = QueryLocked(request, handle.get());
+    Result<QueryReport> report = ExecuteQuery(request, handle.get());
     if (cacheable && report.ok() && IndexVersion(*handle) == version_before) {
       cache->Insert(cache_key, request.index, version_before, report.value());
     }
     return report;
+  };
+  {
+    // The handle's index members stay alive inside an epoch guard that
+    // saw no tombstone: DropIndex tears them down only after its
+    // Synchronize, which waits every such guard out — and before the
+    // cache purge, so no stale entry outlives the drop.
+    stream::epoch::EpochGuard guard;
+    if (handle->building.load()) {
+      return Status::NotFound("index '" + request.index + "' not found");
+    }
+    // Cache probe, off the op mutex: serving a hit touches no index
+    // state. A hit requires the entry's snapshot version to equal the
+    // index's current one, so a concurrent admission that lands just
+    // after this read merely orders the (cached) query before the ingest
+    // — the answer is still the exact answer at its version.
+    if (cacheable) {
+      if (std::optional<QueryReport> hit =
+              cache->Lookup(cache_key, IndexVersion(*handle))) {
+        return *std::move(hit);
+      }
+    }
+    // Lock-free read path: the whole read — scan and cache stamp — stays
+    // inside the guard, so a query never stalls behind a write to its
+    // index or behind another query.
+    if (ReadsLockFree(*handle)) return answer();
   }
   std::lock_guard<std::mutex> op_lock(handle->op_mutex);
-  if (handle->building.load()) {
-    return Status::NotFound("index '" + request.index + "' not found");
-  }
-  // Fill guard: only a scan bracketed by two equal version reads observed
-  // one stable snapshot (background seals/merges publish without the op
-  // mutex, and direct-library ingest does not go through the service).
-  const uint64_t version_before = cacheable ? IndexVersion(*handle) : 0;
-  Result<QueryReport> report = QueryLocked(request, handle.get());
-  if (cacheable && report.ok() && IndexVersion(*handle) == version_before) {
-    cache->Insert(cache_key, request.index, version_before, report.value());
-  }
-  return report;
+  return answer();
+}
+
+bool Service::ReadsLockFree(const IndexHandle& handle) {
+  return handle.static_index != nullptr ||
+         (handle.stream_index != nullptr &&
+          handle.stream_index->ConcurrentReadsSafe());
 }
 
 uint64_t Service::IndexVersion(const IndexHandle& handle) {
@@ -2558,8 +2603,8 @@ uint64_t Service::IndexVersion(const IndexHandle& handle) {
   return 0;
 }
 
-Result<QueryReport> Service::QueryLocked(const QueryRequest& request,
-                                         IndexHandle* handle) {
+Result<QueryReport> Service::ExecuteQuery(const QueryRequest& request,
+                                          IndexHandle* handle) {
   std::vector<float> query = request.query;
   series::ZNormalize(query);
 
@@ -2567,32 +2612,22 @@ Result<QueryReport> Service::QueryLocked(const QueryRequest& request,
   if (request.window.has_value()) options.window = *request.window;
   options.approx_candidates = request.approx_candidates;
 
-  // A sharded index reads through per-shard storage managers; snapshot
-  // those too so the reported query I/O is real, not the handle's zeros.
-  auto* sharded = dynamic_cast<ShardedIndex*>(handle->static_index.get());
-  auto* sharded_stream =
-      dynamic_cast<ShardedStreamingIndex*>(handle->stream_index.get());
+  if (request.capture_heatmap &&
+      (dynamic_cast<ShardedIndex*>(handle->static_index.get()) != nullptr ||
+       dynamic_cast<ShardedStreamingIndex*>(handle->stream_index.get()) !=
+           nullptr)) {
+    // Shards number their files independently, so their accesses share
+    // no location axis; a heat map would misplace them. Refuse instead.
+    return Status::NotSupported(
+        "heat maps are not captured for sharded indexes yet");
+  }
 
   core::QueryCounters counters;
-  storage::AccessTracker* tracker = handle->storage->tracker();
-  if (request.capture_heatmap) {
-    if (sharded != nullptr || sharded_stream != nullptr) {
-      // Shard I/O never touches the handle-level tracker; a silent empty
-      // heat map would read as an all-cold result, so refuse instead.
-      return Status::NotSupported(
-          "heat maps are not captured for sharded indexes yet");
-    }
-    tracker->Clear();
-    tracker->Enable();
-  }
-
+  // Everything this thread (and a sharded index's fan-out tasks) reads
+  // for the query is charged here, and nothing else: concurrent queries
+  // and background seals/merges report through their own scopes.
+  storage::IoScope scope(request.capture_heatmap);
   WallTimer timer;
-  // Snapshot: async streams may be sealing/merging in the background.
-  storage::IoStats before = handle->storage->SnapshotIoStats();
-  if (sharded != nullptr) before.Add(sharded->AggregateIoStats());
-  if (sharded_stream != nullptr) {
-    before.Add(sharded_stream->AggregateIoStats());
-  }
   Result<core::SearchResult> result =
       handle->static_index != nullptr
           ? (request.exact
@@ -2604,7 +2639,6 @@ Result<QueryReport> Service::QueryLocked(const QueryRequest& request,
                  : handle->stream_index->ApproxSearch(query, options,
                                                       &counters));
   const double seconds = timer.ElapsedSeconds();
-  if (request.capture_heatmap) tracker->Disable();
   if (!result.ok()) return result.status();
   const core::SearchResult& match = result.value();
 
@@ -2618,21 +2652,13 @@ Result<QueryReport> Service::QueryLocked(const QueryRequest& request,
     report.timestamp = match.timestamp;
   }
   report.seconds = seconds;
-  storage::IoStats after = handle->storage->SnapshotIoStats();
-  if (sharded != nullptr) after.Add(sharded->AggregateIoStats());
-  if (sharded_stream != nullptr) {
-    after.Add(sharded_stream->AggregateIoStats());
-  }
-  report.io = after.Since(before);
+  report.io = scope.stats();
   report.counters = counters;
   if (request.capture_heatmap) {
-    // Snapshot: an async stream's background seals may still be recording.
-    const std::vector<storage::AccessEvent> events =
-        tracker->SnapshotEvents();
     report.has_heatmap = true;
-    report.heatmap = BuildHeatMap(events, request.heatmap_time_bins,
+    report.heatmap = BuildHeatMap(scope.accesses(), request.heatmap_time_bins,
                                   request.heatmap_location_bins);
-    report.access_locality = AccessLocality(events);
+    report.access_locality = AccessLocality(scope.accesses());
   }
   return report;
 }
@@ -2740,7 +2766,9 @@ void Service::QueryBatched(const std::vector<QueryRequest>& requests,
   if (first.window.has_value()) options.window = *first.window;
   options.approx_candidates = first.approx_candidates;
 
-  std::lock_guard<std::mutex> op_lock(handle->op_mutex);
+  // Static indexes answer lock-free under an epoch guard, exactly like
+  // single queries (see Query).
+  stream::epoch::EpochGuard guard;
   if (handle->building.load()) {
     for (size_t ordinal : ordinals) {
       (*results)[ordinal] = Status::NotFound(
@@ -2749,13 +2777,10 @@ void Service::QueryBatched(const std::vector<QueryRequest>& requests,
     return;
   }
 
-  auto* sharded = dynamic_cast<ShardedIndex*>(handle->static_index.get());
-
   std::vector<core::SearchResult> matches(nq);
   std::vector<core::QueryCounters> counters(nq);
+  storage::IoScope scope;
   WallTimer timer;
-  storage::IoStats before = handle->storage->SnapshotIoStats();
-  if (sharded != nullptr) before.Add(sharded->AggregateIoStats());
   Status st =
       handle->static_index->ExactSearchBatch(spans, options, matches, counters);
   const double seconds = timer.ElapsedSeconds();
@@ -2763,10 +2788,6 @@ void Service::QueryBatched(const std::vector<QueryRequest>& requests,
     for (size_t ordinal : ordinals) (*results)[ordinal] = st;
     return;
   }
-  storage::IoStats after = handle->storage->SnapshotIoStats();
-  if (sharded != nullptr) after.Add(sharded->AggregateIoStats());
-  const storage::IoStats delta = after.Since(before);
-
   for (size_t i = 0; i < nq; ++i) {
     const size_t ordinal = ordinals[i];
     QueryReport report;
@@ -2781,7 +2802,7 @@ void Service::QueryBatched(const std::vector<QueryRequest>& requests,
     // The scan is shared: wall time is amortized evenly and the I/O delta
     // covers the whole bucket (per-query attribution is undefined there).
     report.seconds = seconds / static_cast<double>(nq);
-    report.io = delta;
+    report.io = scope.stats();
     report.counters = counters[i];
     report.batch_size = nq;
     (*results)[ordinal] = std::move(report);
@@ -2795,9 +2816,9 @@ std::vector<Result<QueryReport>> Service::QueryBatch(
       Result<QueryReport>(Status::Internal("not executed")));
   if (requests.empty()) return results;
 
-  // Group request ordinals by target index. One task per group keeps every
-  // index single-threaded (buffer pool pointers, tracker state and query
-  // counters are per-index), while distinct indexes proceed in parallel.
+  // Group request ordinals by target index: a group's exact requests can
+  // share one scan (QueryGroup buckets them), and distinct indexes
+  // proceed in parallel.
   std::map<std::string, std::vector<size_t>> by_index;
   for (size_t i = 0; i < requests.size(); ++i) {
     by_index[requests[i].index].push_back(i);
@@ -2882,15 +2903,17 @@ ListIndexesResponse Service::ListIndexes() const {
       info.total_bytes = handle->storage->TotalBytesOnDisk();
       response.indexes.push_back(std::move(info));
     };
-    if (handle->stream_index != nullptr &&
-        handle->stream_index->ConcurrentReadsSafe()) {
-      // Epoch-snapshot streams answer stats reads lock-free; taking the op
-      // mutex here would park the listing behind a backpressure-blocked
-      // ingest batch on this one index.
+    {
+      // Static indexes and epoch-snapshot streams answer stats reads
+      // lock-free; taking the op mutex here would park the listing behind
+      // a backpressure-blocked ingest batch on this one index. The guard
+      // keeps the members alive against a concurrent DropIndex.
       stream::epoch::EpochGuard guard;
       if (handle->building.load()) continue;
-      read_info(name);
-      continue;
+      if (ReadsLockFree(*handle)) {
+        read_info(name);
+        continue;
+      }
     }
     // Serialize with per-index operations: sync streaming indexes update
     // entry counts without internal synchronization.
@@ -2920,10 +2943,10 @@ Result<DropIndexResponse> Service::DropIndex(const std::string& index_name) {
     }
     handle = it->second;
     // Tombstone the handle: no new op can find it, and ops already past
-    // the lookup hold the op_mutex this thread acquires next — so the
-    // quiesce below waits out any in-flight batch (even one stalled on
-    // backpressure) and the teardown after it runs exclusively, all
-    // without the registry lock.
+    // the lookup hold either the op_mutex this thread acquires next or an
+    // epoch guard the Synchronize below waits out — so the quiesce waits
+    // out any in-flight batch (even one stalled on backpressure) and the
+    // teardown after it runs exclusively, all without the registry lock.
     handle->building.store(true);
   }
   DropIndexResponse response;
@@ -2980,7 +3003,7 @@ Result<DropDatasetResponse> Service::DropDataset(
   }
   DropDatasetResponse response;
   response.dataset = dataset_name;
-  response.series = it->second->data.size();
+  response.series = it->second->store->count();
   datasets_.erase(it);
   response.dropped = true;
   return response;

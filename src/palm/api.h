@@ -372,8 +372,9 @@ struct DropIndexResponse {
   std::string ToJsonString() const;
 };
 
-/// POST /api/v1/drop_dataset — forgets a registered dataset. Indexes
-/// built from it are unaffected (they own their data).
+/// POST /api/v1/drop_dataset — forgets a registered dataset and deletes
+/// its files. Indexes built from it are unaffected (they own their data;
+/// an unsharded static index holds a hard link of the dataset's file).
 struct DropDatasetRequest {
   std::string dataset;
 
@@ -452,13 +453,23 @@ struct QuotaOptions;       // palm/quota.h
 /// Thread safety: operations that mutate the registry (register, build,
 /// create, drop) take an exclusive lock for their brief edges; per-index
 /// operations (query, ingest, drain, list) hold the registry lock only
-/// long enough to pin the handle's shared_ptr, then serialize on the
-/// handle's operation mutex with NO registry lock held — so an ingest
-/// stalled on backpressure (unbounded, by design) or a long drain never
-/// parks registry writers or unrelated indexes. After acquiring the op
-/// mutex they re-check the handle's tombstone flag: a concurrent
-/// DropIndex marks the handle building, waits out the in-flight op on
-/// that same mutex, and tears down only after it drains.
+/// long enough to pin the handle's shared_ptr, with NO registry lock held
+/// afterwards — so an ingest stalled on backpressure (unbounded, by
+/// design) or a long drain never parks registry writers or unrelated
+/// indexes. Queries and listings of static indexes (immutable after their
+/// build) and of async streams (epoch-published snapshots) run lock-free
+/// under an epoch guard, any number at once. Writes — ingest, drain —
+/// and every operation on a sync stream serialize on the handle's
+/// operation mutex. Each op re-checks the handle's tombstone flag after
+/// entering its guard or mutex: a concurrent DropIndex marks the handle
+/// building, waits out the in-flight ops (the op mutex, then an epoch
+/// Synchronize) and tears down only after they drain.
+///
+/// Registered datasets live on disk: each registration writes its
+/// z-normalized series to a raw store in a directory of its own under
+/// `<root>/datasets/`, deleted when the dataset is dropped and no build
+/// still reads it. The registry itself is in memory only, so Create
+/// removes any such directories a previous process left behind.
 class Service {
  public:
   static Result<std::unique_ptr<Service>> Create(
@@ -546,9 +557,19 @@ class Service {
   storage::StorageManager* index_storage(const std::string& name);
 
  private:
+  /// A registered dataset: its z-normalized series in a raw store of its
+  /// own (`store`, under `storage`'s directory), its timestamps in memory.
+  /// The destructor deletes the directory; pins (an in-flight build) keep
+  /// it alive past a DropDataset.
   struct Dataset {
-    series::SeriesCollection data{0};
+    std::unique_ptr<storage::StorageManager> storage;
+    std::unique_ptr<core::RawSeriesStore> store;
     std::vector<int64_t> timestamps;
+
+    Dataset() = default;
+    Dataset(const Dataset&) = delete;
+    Dataset& operator=(const Dataset&) = delete;
+    ~Dataset();
   };
 
   struct IndexHandle {
@@ -580,8 +601,10 @@ class Service {
     /// have tombstoned it under mu_ exclusive; the mutex hand-offs order
     /// the member teardown, the atomic just keeps the flag race-free.
     std::atomic<bool> building{false};
-    /// Serializes ingest/drain/query on this index (buffer pool, tracker
-    /// and counters are single-threaded per index, as in QueryBatch).
+    /// Serializes the writes to this index — ingest and drain — and every
+    /// operation on a sync stream, whose ingest path mutates in place.
+    /// Static indexes and async streams answer reads without it (see
+    /// ReadsLockFree).
     std::mutex op_mutex;
   };
 
@@ -597,10 +620,12 @@ class Service {
                                      const VariantSpec& spec);
   /// Creates the reserved handle's storage manager, buffer pool and raw
   /// store (mkdir + clearing any leftover directory — potentially slow
-  /// I/O). No lock held: the tombstoned handle belongs to this thread.
-  /// On failure the caller must TeardownHandle.
-  Status InitHandleStorage(const std::string& index_name,
-                           IndexHandle* handle);
+  /// I/O). With a non-empty `raw_source` the raw store is a hard link of
+  /// that (complete, never again written) raw store file instead of a
+  /// fresh one. No lock held: the tombstoned handle belongs to this
+  /// thread. On failure the caller must TeardownHandle.
+  Status InitHandleStorage(const std::string& index_name, IndexHandle* handle,
+                           const std::string& raw_source = "");
   /// Tears a tombstoned handle down (flushing destructors, directory
   /// remove_all) outside the registry lock, then takes mu_ exclusively to
   /// unregister the name. Caller must have set handle->building under the
@@ -626,8 +651,16 @@ class Service {
   /// Pin a live (non-building) handle: one brief shared hold of mu_.
   std::shared_ptr<IndexHandle> PinHandle(const std::string& name) const;
 
-  Result<QueryReport> QueryLocked(const QueryRequest& request,
-                                  IndexHandle* handle);
+  /// Whether queries and listings of this handle skip the op mutex:
+  /// static indexes (immutable after their build) and streams that serve
+  /// epoch-published snapshots. Those reads run under an epoch guard.
+  static bool ReadsLockFree(const IndexHandle& handle);
+
+  /// Runs one validated query against the handle; the caller holds the
+  /// epoch guard or op mutex that keeps the handle alive. I/O and heat
+  /// map come from a storage::IoScope of this call alone.
+  Result<QueryReport> ExecuteQuery(const QueryRequest& request,
+                                   IndexHandle* handle);
 
   /// The handle's current snapshot-version stamp (static or streaming).
   static uint64_t IndexVersion(const IndexHandle& handle);
@@ -652,14 +685,17 @@ class Service {
   /// Guards the two registries. Exclusive: register/drop edges and the
   /// brief reserve/publish edges of build/create. Shared: only the
   /// handle-pinning lookup of ingest/drain/query/list — the per-index
-  /// work itself runs under the handle's op_mutex with no registry lock
-  /// (handles are shared_ptr-pinned), so neither a long build, a long
-  /// drain, nor a backpressure-stalled ingest ever parks the registry.
+  /// work itself runs with no registry lock (handles are
+  /// shared_ptr-pinned), so neither a long build, a long drain, nor a
+  /// backpressure-stalled ingest ever parks the registry.
   mutable std::shared_mutex mu_;
   /// Values are shared_ptr-to-const so an in-flight build can pin its
   /// dataset snapshot and run without the registry lock; DropDataset
   /// erases the entry but the data outlives it for the build.
   std::map<std::string, std::shared_ptr<const Dataset>> datasets_;
+  /// Numbers dataset directories, so every registration — even of a name
+  /// just dropped while a build still reads it — gets a fresh one.
+  std::atomic<uint64_t> next_dataset_dir_{0};
   /// shared_ptr so an op can pin a handle across its (registry-lock-free)
   /// work while DropIndex concurrently erases the map entry.
   std::map<std::string, std::shared_ptr<IndexHandle>> indexes_;

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/json.h"
-#include "storage/access_tracker.h"
+#include "storage/io_scope.h"
 
 namespace coconut {
 namespace palm {

@@ -71,8 +71,7 @@ class Server {
 
   /// Executes independent requests concurrently on a small thread pool and
   /// returns one result per request, positionally. Requests that target the
-  /// same index are serialized (per-index isolation: each index's buffer
-  /// pool, I/O counters and heat-map tracker stay single-threaded);
+  /// same index run as one group (its exact requests share one scan);
   /// requests for distinct indexes run in parallel. A sharded index
   /// (spec.num_shards > 1) additionally fans each query out across its
   /// shards on its own pool — scatter-gather under the same facade — so

@@ -4,6 +4,7 @@
 #include <condition_variable>
 
 #include "palm/shard_route.h"
+#include "storage/io_scope.h"
 
 namespace coconut {
 namespace palm {
@@ -172,17 +173,19 @@ Result<core::SearchResult> ShardedIndex::ScatterSearch(
       k, Result<core::SearchResult>(Status::Internal("not executed")));
   std::vector<core::QueryCounters> shard_counters(k);
 
+  // Shards are immutable after Finalize and their pools copy pages out,
+  // so concurrent callers share them freely. Each task charges a scope of
+  // its own (one shard, one device head) folded into the caller's.
+  storage::IoScope* caller = storage::IoScope::Current();
   auto search_shard = [&](size_t i) {
     Shard& shard = *shards_[i];
-    // Inner query state (buffer pool page pointers, tracker, counters) is
-    // single-threaded by contract; concurrent ShardedIndex callers
-    // serialize per shard here while distinct shards run in parallel.
-    std::lock_guard<std::mutex> lock(shard.query_mu);
+    storage::IoScope scope(caller != nullptr && caller->capture_accesses());
     results[i] = exact
                      ? shard.index->ExactSearch(query, options,
                                                 &shard_counters[i])
                      : shard.index->ApproxSearch(query, options,
                                                  &shard_counters[i]);
+    if (caller != nullptr) caller->Absorb(scope);
   };
 
   if (query_pool_ == nullptr || k == 1) {
@@ -243,13 +246,13 @@ Status ShardedIndex::ExactSearchBatch(
   std::vector<std::vector<core::QueryCounters>> shard_counters(
       k, std::vector<core::QueryCounters>(nq));
 
+  // Same sharing and I/O attribution as ScatterSearch.
+  storage::IoScope* caller = storage::IoScope::Current();
   auto search_shard = [&](size_t i) {
-    Shard& shard = *shards_[i];
-    // Same serialization contract as ScatterSearch: inner query state is
-    // single-threaded, distinct shards proceed in parallel.
-    std::lock_guard<std::mutex> lock(shard.query_mu);
-    statuses[i] = shard.index->ExactSearchBatch(
+    storage::IoScope scope(caller != nullptr && caller->capture_accesses());
+    statuses[i] = shards_[i]->index->ExactSearchBatch(
         queries, options, shard_results[i], shard_counters[i]);
+    if (caller != nullptr) caller->Absorb(scope);
   };
 
   if (query_pool_ == nullptr || k == 1) {

@@ -38,11 +38,13 @@ namespace palm {
 /// distance, the gather deterministically returns the smaller global id,
 /// while an unsharded traversal keeps whichever it encountered first.
 ///
-/// Threading: Insert/Finalize are single-caller (the build path).
-/// ExactSearch/ApproxSearch are safe for concurrent callers: shard fan-out
-/// runs on an internal pool and each shard's inner index — whose buffer
-/// pool and tracker are single-threaded by contract — is serialized behind
-/// a per-shard mutex. Distinct shards proceed in parallel.
+/// Threading: Insert/Finalize are single-caller (the build path). After
+/// Finalize the shards are immutable, so ExactSearch/ApproxSearch/
+/// ExactSearchBatch are safe for any number of concurrent callers, with
+/// no lock: shard fan-out runs on an internal pool, every shard's buffer
+/// pool copies pages out, and each fan-out task charges its own
+/// storage::IoScope, folded into the caller's, so a query's reported I/O
+/// is its own.
 class ShardedIndex : public core::DataSeriesIndex {
  public:
   struct Options {
@@ -119,9 +121,6 @@ class ShardedIndex : public core::DataSeriesIndex {
     std::unique_ptr<core::DataSeriesIndex> index;
     /// Shard-local raw-store ordinal -> global series id.
     std::vector<uint64_t> local_to_global;
-    /// Serializes queries into this shard (inner query state is
-    /// single-threaded by contract).
-    std::mutex query_mu;
   };
 
   explicit ShardedIndex(Options options) : options_(std::move(options)) {}

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "palm/shard_route.h"
+#include "storage/io_scope.h"
 
 namespace coconut {
 namespace palm {
@@ -263,12 +264,16 @@ Result<core::SearchResult> ShardedStreamingIndex::ScatterSearch(
   // Inner async streaming indexes are snapshot-isolated — each shard's
   // search evaluates one atomic snapshot of that shard's state and never
   // blocks on (or is corrupted by) its concurrent seals, so no per-shard
-  // serialization is needed here, unlike the static sharded path.
+  // serialization is needed here. Each task charges a scope of its own,
+  // folded into the caller's (see ShardedIndex::ScatterSearch).
+  storage::IoScope* caller = storage::IoScope::Current();
   auto search_shard = [&](size_t i) {
+    storage::IoScope scope(caller != nullptr && caller->capture_accesses());
     results[i] = exact ? shards_[i]->index->ExactSearch(query, options,
                                                         &shard_counters[i])
                        : shards_[i]->index->ApproxSearch(query, options,
                                                          &shard_counters[i]);
+    if (caller != nullptr) caller->Absorb(scope);
   };
 
   if (query_pool_ == nullptr || k == 1) {

@@ -283,13 +283,10 @@ Status SeqTable::ReadLeaf(size_t leaf_idx, LeafView* view) const {
     return Status::OutOfRange("leaf index out of range");
   }
   const uint64_t page_no = directory_[leaf_idx].page_no;
-  if (pool_ != nullptr) {
-    COCONUT_ASSIGN_OR_RETURN(const Page* page,
-                             pool_->GetPage(file_.get(), page_no));
-    return DecodeLeafPage(*page, view);
-  }
   Page page;
-  COCONUT_RETURN_NOT_OK(file_->ReadPage(page_no, &page));
+  COCONUT_RETURN_NOT_OK(pool_ != nullptr
+                            ? pool_->ReadPage(file_.get(), page_no, &page)
+                            : file_->ReadPage(page_no, &page));
   return DecodeLeafPage(page, view);
 }
 

@@ -22,11 +22,12 @@ namespace storage {
 /// The pool is read-only from the caller's perspective: pages are fetched,
 /// never mutated in cache. Writers go directly to File and must Invalidate.
 ///
-/// Structure and hit/miss accounting are mutex-protected, so concurrent
-/// callers cannot corrupt the LRU. The pointer returned by GetPage is only
-/// guaranteed until the same caller's next GetPage, so query execution over
-/// one pool must still be serialized (the Palm server runs batched queries
-/// with per-index isolation for exactly this reason).
+/// Thread-safe: any number of callers may ReadPage concurrently. A hit
+/// copies the cached frame into the caller's page under the pool mutex,
+/// so no caller ever holds a pointer into a frame another caller's miss
+/// can evict. A miss reads the file outside the mutex (concurrent misses
+/// proceed in parallel, each charged to its own caller's I/O scope) and
+/// then caches the page, unless an Invalidate ran in between.
 class BufferPool {
  public:
   /// `capacity_bytes` is rounded down to whole pages (at least one page).
@@ -35,10 +36,9 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// Returns a pointer to the cached page contents, reading through `file`
-  /// on a miss. The pointer is valid until the next GetPage call (the frame
-  /// may be evicted then).
-  Result<const Page*> GetPage(File* file, uint64_t page_no);
+  /// Copies page `page_no` of `file` into `*page`, from the cache or, on a
+  /// miss, reading through `file`.
+  Status ReadPage(File* file, uint64_t page_no, Page* page);
 
   /// Drops every cached page belonging to `file_id` (after writes).
   void Invalidate(uint32_t file_id);
@@ -79,6 +79,9 @@ class BufferPool {
   std::unordered_map<uint64_t, LruList::iterator> map_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
+  /// Bumped by Invalidate/Clear; a miss caches its page only if no bump
+  /// happened while it read the file unlocked.
+  uint64_t generation_ = 0;
 };
 
 }  // namespace storage

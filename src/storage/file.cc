@@ -6,6 +6,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "storage/io_scope.h"
+
 namespace coconut {
 namespace storage {
 
@@ -21,17 +23,15 @@ File::~File() {
 
 Result<std::unique_ptr<File>> File::Create(const std::string& path,
                                            uint32_t file_id, IoStats* stats,
-                                           AccessTracker* tracker,
                                            std::mutex* io_mutex) {
   int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return Status::IoError(Errno("open(create)", path));
   return std::unique_ptr<File>(
-      new File(fd, path, file_id, /*size=*/0, stats, tracker, io_mutex));
+      new File(fd, path, file_id, /*size=*/0, stats, io_mutex));
 }
 
 Result<std::unique_ptr<File>> File::Open(const std::string& path,
                                          uint32_t file_id, IoStats* stats,
-                                         AccessTracker* tracker,
                                          std::mutex* io_mutex) {
   int fd = ::open(path.c_str(), O_RDWR, 0644);
   if (fd < 0) return Status::IoError(Errno("open", path));
@@ -42,48 +42,28 @@ Result<std::unique_ptr<File>> File::Open(const std::string& path,
   }
   return std::unique_ptr<File>(new File(fd, path, file_id,
                                         static_cast<uint64_t>(size), stats,
-                                        tracker, io_mutex));
+                                        io_mutex));
 }
 
 void File::CountRead(uint64_t offset, size_t len) {
-  std::unique_lock<std::mutex> lock;
-  if (io_mutex_ != nullptr) lock = std::unique_lock<std::mutex>(*io_mutex_);
   if (stats_ != nullptr) {
-    const bool sequential =
-        stats_->last_read_file == IoStats::kNoFile ||
-        (stats_->last_read_file == file_id_ && offset == stats_->last_read_end);
-    if (sequential) {
-      ++stats_->sequential_reads;
-    } else {
-      ++stats_->random_reads;
-    }
-    stats_->bytes_read += len;
-    stats_->last_read_file = file_id_;
-    stats_->last_read_end = offset + len;
+    std::unique_lock<std::mutex> lock;
+    if (io_mutex_ != nullptr) lock = std::unique_lock<std::mutex>(*io_mutex_);
+    stats_->ChargeRead(file_id_, offset, len);
   }
-  if (tracker_ != nullptr && tracker_->enabled()) {
-    tracker_->Record(file_id_, offset / kPageSize, /*is_write=*/false);
+  if (IoScope* scope = IoScope::Current()) {
+    scope->CountRead(file_id_, offset, len);
   }
 }
 
 void File::CountWrite(uint64_t offset, size_t len) {
-  std::unique_lock<std::mutex> lock;
-  if (io_mutex_ != nullptr) lock = std::unique_lock<std::mutex>(*io_mutex_);
   if (stats_ != nullptr) {
-    const bool sequential = stats_->last_write_file == IoStats::kNoFile ||
-                            (stats_->last_write_file == file_id_ &&
-                             offset == stats_->last_write_end);
-    if (sequential) {
-      ++stats_->sequential_writes;
-    } else {
-      ++stats_->random_writes;
-    }
-    stats_->bytes_written += len;
-    stats_->last_write_file = file_id_;
-    stats_->last_write_end = offset + len;
+    std::unique_lock<std::mutex> lock;
+    if (io_mutex_ != nullptr) lock = std::unique_lock<std::mutex>(*io_mutex_);
+    stats_->ChargeWrite(file_id_, offset, len);
   }
-  if (tracker_ != nullptr && tracker_->enabled()) {
-    tracker_->Record(file_id_, offset / kPageSize, /*is_write=*/true);
+  if (IoScope* scope = IoScope::Current()) {
+    scope->CountWrite(file_id_, offset, len);
   }
 }
 

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "storage/access_tracker.h"
 #include "storage/io_stats.h"
 #include "storage/page.h"
 
@@ -16,11 +15,12 @@ namespace storage {
 
 /// Instrumented POSIX file. Every read/write updates the shared IoStats
 /// (classifying sequential vs random by comparing against the end of the
-/// previous access of the same kind) and, when page-aligned, notifies the
-/// AccessTracker for heat-map rendering.
+/// previous access of the same kind) and charges the calling thread's
+/// current IoScope, if any — the per-request view behind query reports
+/// and heat maps.
 ///
 /// Files are obtained through StorageManager, which assigns the file_id used
-/// by tracker events.
+/// by access events.
 class File {
  public:
   ~File();
@@ -29,18 +29,16 @@ class File {
   File& operator=(const File&) = delete;
 
   /// Creates (truncates) a file at `path`. `io_mutex` (optional, not owned)
-  /// serializes stats/tracker updates when files of one manager are used
-  /// from several threads (parallel run generation, batched queries).
+  /// serializes stats updates when files of one manager are used from
+  /// several threads (parallel run generation, concurrent queries).
   static Result<std::unique_ptr<File>> Create(const std::string& path,
                                               uint32_t file_id,
                                               IoStats* stats,
-                                              AccessTracker* tracker,
                                               std::mutex* io_mutex = nullptr);
 
   /// Opens an existing file for read/write.
   static Result<std::unique_ptr<File>> Open(const std::string& path,
                                             uint32_t file_id, IoStats* stats,
-                                            AccessTracker* tracker,
                                             std::mutex* io_mutex = nullptr);
 
   /// Reads the `page_no`-th kPageSize page into `page`.
@@ -78,13 +76,12 @@ class File {
 
  private:
   File(int fd, std::string path, uint32_t file_id, uint64_t size,
-       IoStats* stats, AccessTracker* tracker, std::mutex* io_mutex)
+       IoStats* stats, std::mutex* io_mutex)
       : fd_(fd),
         path_(std::move(path)),
         file_id_(file_id),
         size_bytes_(size),
         stats_(stats),
-        tracker_(tracker),
         io_mutex_(io_mutex) {}
 
   void CountRead(uint64_t offset, size_t len);
@@ -95,7 +92,6 @@ class File {
   uint32_t file_id_;
   uint64_t size_bytes_;
   IoStats* stats_;       // Not owned; shared across files of one manager.
-  AccessTracker* tracker_;  // Not owned; may be nullptr.
   std::mutex* io_mutex_;    // Not owned; may be nullptr (single-threaded).
 };
 

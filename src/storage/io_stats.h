@@ -40,6 +40,17 @@ struct IoStats {
 
   void Reset() { *this = IoStats{}; }
 
+  /// Counts one read (write) of `len` bytes at `offset` of file
+  /// `file_id`, classified against — and then advancing — the head.
+  void ChargeRead(uint32_t file_id, uint64_t offset, uint64_t len) {
+    Charge(file_id, offset, len, &sequential_reads, &random_reads,
+           &bytes_read, &last_read_file, &last_read_end);
+  }
+  void ChargeWrite(uint32_t file_id, uint64_t offset, uint64_t len) {
+    Charge(file_id, offset, len, &sequential_writes, &random_writes,
+           &bytes_written, &last_write_file, &last_write_end);
+  }
+
   /// Accumulates another set of counters (device-head tracking fields are
   /// meaningless across devices and stay untouched). One shared helper so
   /// every aggregation site picks up future counters automatically.
@@ -69,6 +80,21 @@ struct IoStats {
            ",rand=" + std::to_string(random_reads) +
            ") writes(seq=" + std::to_string(sequential_writes) +
            ",rand=" + std::to_string(random_writes) + ")";
+  }
+
+ private:
+  static void Charge(uint32_t file_id, uint64_t offset, uint64_t len,
+                     uint64_t* sequential, uint64_t* random, uint64_t* bytes,
+                     uint32_t* last_file, uint64_t* last_end) {
+    if (*last_file == kNoFile ||
+        (*last_file == file_id && offset == *last_end)) {
+      ++*sequential;
+    } else {
+      ++*random;
+    }
+    *bytes += len;
+    *last_file = file_id;
+    *last_end = offset + len;
   }
 };
 

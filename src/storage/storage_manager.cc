@@ -34,7 +34,7 @@ std::string StorageManager::PathFor(const std::string& name) const {
 Result<std::unique_ptr<File>> StorageManager::CreateFile(
     const std::string& name) {
   auto file = File::Create(PathFor(name), next_file_id_.fetch_add(1), &stats_,
-                           &tracker_, &io_mutex_);
+                           &io_mutex_);
   if (!file.ok()) return file;
   // The new *name* lives in the directory inode; without this a
   // created-then-crashed file (e.g. a fresh write-ahead log) can vanish
@@ -46,7 +46,16 @@ Result<std::unique_ptr<File>> StorageManager::CreateFile(
 Result<std::unique_ptr<File>> StorageManager::OpenFile(
     const std::string& name) {
   return File::Open(PathFor(name), next_file_id_.fetch_add(1), &stats_,
-                    &tracker_, &io_mutex_);
+                    &io_mutex_);
+}
+
+Status StorageManager::LinkFile(const std::string& source_path,
+                                const std::string& name) {
+  if (::link(source_path.c_str(), PathFor(name).c_str()) != 0) {
+    return Status::IoError("link('" + source_path + "' -> '" +
+                           PathFor(name) + "'): " + std::strerror(errno));
+  }
+  return Status::OK();
 }
 
 Status StorageManager::RemoveFile(const std::string& name) {

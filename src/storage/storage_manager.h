@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "storage/access_tracker.h"
 #include "storage/file.h"
 #include "storage/io_stats.h"
 
@@ -17,7 +16,8 @@ namespace coconut {
 namespace storage {
 
 /// Owns a working directory and hands out instrumented File handles whose
-/// I/O all flows into one IoStats / AccessTracker pair. Each index variant
+/// I/O all flows into one IoStats (per-request views come from
+/// storage::IoScope). Each index variant
 /// gets its own StorageManager so its footprint and I/O behaviour can be
 /// measured in isolation — this is the "Storage Layer" box of Figure 1.
 class StorageManager {
@@ -37,6 +37,11 @@ class StorageManager {
 
   /// Opens an existing file named `name`.
   Result<std::unique_ptr<File>> OpenFile(const std::string& name);
+
+  /// Makes `name` inside the directory a hard link of the file at
+  /// `source_path` (same filesystem). The new name keeps the data alive
+  /// after the source is deleted.
+  Status LinkFile(const std::string& source_path, const std::string& name);
 
   /// Deletes the named file from disk.
   Status RemoveFile(const std::string& name);
@@ -65,7 +70,6 @@ class StorageManager {
   /// mutex; read them from quiescent sections — before/after a parallel
   /// phase — for consistent values.
   IoStats* io_stats() { return &stats_; }
-  AccessTracker* tracker() { return &tracker_; }
 
   /// Consistent copy of the I/O counters taken under the same mutex the
   /// files update them with — safe to call while other threads do I/O
@@ -85,7 +89,6 @@ class StorageManager {
 
   std::string directory_;
   IoStats stats_;
-  AccessTracker tracker_;
   mutable std::mutex io_mutex_;
   std::atomic<uint32_t> next_file_id_{0};
 };

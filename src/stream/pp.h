@@ -74,7 +74,7 @@ class PostProcessingIndex : public StreamingIndex {
   /// The factory marks the facade lock-free-readable when the inner
   /// structure serves queries from epoch-published snapshots (async CLSM).
   /// ADS+/CTree inners stay single-caller: their reads walk live
-  /// structures and share BufferPool pages.
+  /// structures that Ingest mutates in place.
   void set_concurrent_reads_safe(bool safe) { concurrent_reads_safe_ = safe; }
   bool ConcurrentReadsSafe() const override { return concurrent_reads_safe_; }
 

@@ -290,12 +290,11 @@ class StreamingIndex {
   /// True when any number of threads may call the search/stats accessors
   /// concurrently with each other AND with Ingest/FlushAll, with no
   /// external serialization: the epoch-based read path (readers load a
-  /// published immutable snapshot, never take the admission mutex, and
-  /// never touch a shared BufferPool whose page pointers a concurrent
-  /// reader could invalidate). Async TP/BTP/CLSM and the sharded wrapper
-  /// qualify; sync (single-caller) indexes and anything routing reads
-  /// through a shared BufferPool do not. The service layer uses this to
-  /// bypass its per-index operation mutex on the query path.
+  /// published immutable snapshot and never take the admission mutex).
+  /// Async TP/BTP/CLSM and the sharded wrapper qualify; sync
+  /// (single-caller) indexes and PP facades over live ADS+/CTree
+  /// structures do not. The service layer uses this to bypass its
+  /// per-index operation mutex on the query path.
   virtual bool ConcurrentReadsSafe() const { return false; }
 
   /// Monotonic snapshot-version stamp, mirroring

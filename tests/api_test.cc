@@ -1173,6 +1173,65 @@ TEST_F(ServiceTest, DropDatasetForgetsOnlyTheDataset) {
             StatusCode::kNotFound);
 }
 
+// A registered dataset lives in a directory of its own under the root; an
+// unsharded static index reads the same file through a hard link, so the
+// dataset's deletion (directory and all) leaves every index built from it
+// answering exactly — sharded ones own their shard copies.
+TEST_F(ServiceTest, DroppedDatasetLeavesIndexesAnsweringExactly) {
+  const series::SeriesCollection data = Register("walk", 200, 21);
+  ASSERT_EQ(std::distance(
+                std::filesystem::directory_iterator(root_ + "/datasets"),
+                std::filesystem::directory_iterator()),
+            1);
+  ASSERT_TRUE(service_->BuildIndex("ctree", TestSpec(), "walk").ok());
+  ASSERT_TRUE(
+      service_->BuildIndex("ads", TestSpec(IndexFamily::kAds), "walk").ok());
+  VariantSpec sharded = TestSpec();
+  sharded.num_shards = 2;
+  ASSERT_TRUE(service_->BuildIndex("sharded", sharded, "walk").ok());
+  const uint64_t bytes_before =
+      service_->index_storage("ctree")->TotalBytesOnDisk();
+
+  ASSERT_TRUE(service_->DropDataset("walk").ok());
+  EXPECT_TRUE(std::filesystem::is_empty(root_ + "/datasets"));
+  EXPECT_EQ(service_->index_storage("ctree")->TotalBytesOnDisk(),
+            bytes_before);
+
+  for (const char* index : {"ctree", "ads", "sharded"}) {
+    for (int q = 0; q < 6; ++q) {
+      const std::vector<float> noisy =
+          testutil::NoisyCopy(data, (q * 37 + 3) % data.size(), 0.3, q);
+      QueryRequest query;
+      query.index = index;
+      query.query = noisy;
+      Result<QueryReport> report = service_->Query(query);
+      ASSERT_TRUE(report.ok()) << index << ": " << report.status().ToString();
+      const auto oracle = testutil::BruteForceKnn(data, noisy, 1);
+      ASSERT_TRUE(report.value().found) << index;
+      EXPECT_NEAR(report.value().distance * report.value().distance,
+                  oracle[0].distance_sq, 1e-3)
+          << index << " query " << q;
+    }
+  }
+}
+
+// A restarted service cannot reach the datasets of its previous life (the
+// registry is memory-only), so it removes their files at startup.
+TEST_F(ServiceTest, RestartRemovesLeftoverDatasets) {
+  Register("walk", 20);
+  ASSERT_FALSE(std::filesystem::is_empty(root_ + "/datasets"));
+  const std::string leftover = root_ + "/datasets/7-stale";
+  std::filesystem::create_directories(leftover);
+  // The first service's own datasets go with it; a crash would leave them.
+  service_.reset();
+  EXPECT_TRUE(std::filesystem::exists(leftover));
+  service_ = Service::Create(root_).TakeValue();
+  EXPECT_FALSE(std::filesystem::exists(root_ + "/datasets"));
+  // The name is free again and registers into a fresh directory.
+  Register("walk", 20);
+  EXPECT_FALSE(std::filesystem::is_empty(root_ + "/datasets"));
+}
+
 // ----------------------------------------------------------- error model
 
 TEST(ApiErrorTest, StatusMapping) {

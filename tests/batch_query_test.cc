@@ -7,6 +7,7 @@
 // shared scan and its reports must match the per-request Query path. Also
 // reruns scalar-pinned as batch_query_test_forced_scalar.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <string>
@@ -186,8 +187,10 @@ INSTANTIATE_TEST_SUITE_P(
 class ServiceBatchTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The pid keeps this root apart from the forced-scalar rerun of the
+    // same binary, which ctest may run at the same time.
     root_ = std::filesystem::temp_directory_path().string() +
-            "/batch_query_service_" +
+            "/batch_query_service_" + std::to_string(::getpid()) + "_" +
             ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(root_);
     auto created = Service::Create(root_);

@@ -19,6 +19,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -218,7 +219,9 @@ class EpochChurnTest : public ::testing::Test {
     auto* tp = dynamic_cast<TemporalPartitioningIndex*>(stream.get());
 
     std::atomic<bool> stop{false};
-    std::atomic<size_t> acknowledged{0};
+    // Series handed to Ingest so far, bumped before each call: a seal the
+    // call triggers can publish its partition before the call returns.
+    std::atomic<size_t> ingest_calls{0};
 
     // Fixed probes: over a grow-only index the exact nearest distance for
     // a fixed query is non-increasing. A reader that ever saw a worse
@@ -267,7 +270,7 @@ class EpochChurnTest : public ::testing::Test {
             sealed += part.entries;
             EXPECT_LE(part.t_min, part.t_max);
           }
-          EXPECT_LE(sealed, acknowledged.load(std::memory_order_acquire));
+          EXPECT_LE(sealed, ingest_calls.load(std::memory_order_acquire));
         }
         std::this_thread::yield();
       }
@@ -282,9 +285,9 @@ class EpochChurnTest : public ::testing::Test {
     // exactly the writer edge the epoch scheme must make safe.
     for (size_t i = 0; i < collection_.size(); ++i) {
       ASSERT_TRUE(raw_->Append(collection_[i]).ok());
+      ingest_calls.store(i + 1, std::memory_order_release);
       ASSERT_TRUE(
           stream->Ingest(i, collection_[i], static_cast<int64_t>(i)).ok());
-      acknowledged.store(i + 1, std::memory_order_release);
       if ((i + 1) % 150 == 0) {
         ASSERT_TRUE(stream->FlushAll().ok());
       }
@@ -520,44 +523,41 @@ TEST_F(EpochChurnTest, StatsAndSearchServeWhileFlusherParkedAtCap) {
 // --------------------------------------------------------- service layer
 
 // DropIndex races live lock-free queries and listings: queriers and a
-// ListIndexes hammer run against a drop of the same stream. Every query
+// ListIndexes hammer run against a drop of the same index. Every query
 // must come back OK or NotFound (never a crash, never a freed snapshot),
 // the drop itself must succeed mid-traffic, and afterwards every querier
 // observes NotFound. Exercises the Synchronize barrier DropIndex runs
-// between quiescing the handle and tearing it down.
+// between quiescing the handle and tearing it down — for an async stream
+// and for static indexes, which take the same lock-free path.
 namespace palm {
 namespace api {
 namespace {
 
-TEST(EpochDropRaceTest, DropIndexWhileLockFreeQueriesAndListingsRace) {
+constexpr size_t kDropRaceLength = 32;
+
+series::SaxConfig DropRaceSax() {
+  return series::SaxConfig{.series_length = kDropRaceLength,
+                           .num_segments = 8,
+                           .bits_per_segment = 8};
+}
+
+/// Runs the race against index "live", which `populate` creates over
+/// `data`. With `heatmaps`, every other query also captures a heat map.
+void RunDropRace(const std::string& root_name,
+                 const std::function<void(Service*,
+                                          const series::SeriesCollection&)>&
+                     populate,
+                 bool streaming, bool heatmaps) {
   const std::string root =
-      std::filesystem::temp_directory_path().string() + "/epoch_drop_race";
+      std::filesystem::temp_directory_path().string() + "/" + root_name;
   std::filesystem::remove_all(root);
   {
     std::unique_ptr<Service> service = Service::Create(root).TakeValue();
     service->EnableQueryCache(QueryCacheOptions{});
-
-    constexpr size_t kLength = 32;
-    CreateStreamRequest create;
-    create.stream = "live";
-    create.spec.sax = series::SaxConfig{.series_length = kLength,
-                                        .num_segments = 8,
-                                        .bits_per_segment = 8};
-    create.spec.family = IndexFamily::kCTree;
-    create.spec.mode = StreamMode::kTP;
-    create.spec.buffer_entries = 24;
-    create.spec.async_ingest = true;  // Lock-free read path engaged.
-    ASSERT_TRUE(service->CreateStream(create).ok());
-
     const series::SeriesCollection data =
-        testutil::RandomWalkCollection(120, kLength, 51);
-    IngestBatchRequest ingest;
-    ingest.stream = "live";
-    ingest.batch = data;
-    for (size_t i = 0; i < data.size(); ++i) {
-      ingest.timestamps.push_back(static_cast<int64_t>(i));
-    }
-    ASSERT_TRUE(service->IngestBatch(ingest).ok());
+        testutil::RandomWalkCollection(120, kDropRaceLength, 51);
+    populate(service.get(), data);
+    if (::testing::Test::HasFatalFailure()) return;
 
     std::atomic<bool> stop{false};
     std::atomic<size_t> not_found_seen{0};
@@ -566,14 +566,17 @@ TEST(EpochDropRaceTest, DropIndexWhileLockFreeQueriesAndListingsRace) {
       queriers.emplace_back([&, t] {
         bool saw_not_found = false;
         Rng rng(600 + t);
-        while (!stop.load(std::memory_order_acquire) || !saw_not_found) {
+        for (uint64_t n = 0;
+             !stop.load(std::memory_order_acquire) || !saw_not_found; ++n) {
           QueryRequest request;
           request.index = "live";
           request.query = testutil::NoisyCopy(
               data, rng.NextBounded(data.size()), 0.3, 700 + t);
+          request.capture_heatmap = heatmaps && n % 2 == 1;
           Result<QueryReport> r = service->Query(request);
           if (r.ok()) {
             EXPECT_TRUE(r.value().found);
+            EXPECT_EQ(r.value().has_heatmap, request.capture_heatmap);
           } else {
             ASSERT_EQ(r.status().code(), StatusCode::kNotFound)
                 << r.status().ToString();
@@ -589,7 +592,7 @@ TEST(EpochDropRaceTest, DropIndexWhileLockFreeQueriesAndListingsRace) {
       while (!stop.load(std::memory_order_acquire)) {
         for (const auto& info : service->ListIndexes().indexes) {
           EXPECT_EQ(info.name, "live");
-          EXPECT_TRUE(info.streaming);
+          EXPECT_EQ(info.streaming, streaming);
         }
         std::this_thread::yield();
       }
@@ -610,6 +613,61 @@ TEST(EpochDropRaceTest, DropIndexWhileLockFreeQueriesAndListingsRace) {
     EXPECT_TRUE(service->ListIndexes().indexes.empty());
   }
   std::filesystem::remove_all(root);
+}
+
+TEST(EpochDropRaceTest, DropIndexWhileLockFreeQueriesAndListingsRace) {
+  RunDropRace(
+      "epoch_drop_race",
+      [](Service* service, const series::SeriesCollection& data) {
+        CreateStreamRequest create;
+        create.stream = "live";
+        create.spec.sax = DropRaceSax();
+        create.spec.family = IndexFamily::kCTree;
+        create.spec.mode = StreamMode::kTP;
+        create.spec.buffer_entries = 24;
+        create.spec.async_ingest = true;  // Lock-free read path engaged.
+        ASSERT_TRUE(service->CreateStream(create).ok());
+        IngestBatchRequest ingest;
+        ingest.stream = "live";
+        ingest.batch = data;
+        for (size_t i = 0; i < data.size(); ++i) {
+          ingest.timestamps.push_back(static_cast<int64_t>(i));
+        }
+        ASSERT_TRUE(service->IngestBatch(ingest).ok());
+      },
+      /*streaming=*/true, /*heatmaps=*/true);
+}
+
+/// A static index of `family` over the race's data.
+std::function<void(Service*, const series::SeriesCollection&)> BuildStatic(
+    IndexFamily family, size_t shards) {
+  return [family, shards](Service* service,
+                          const series::SeriesCollection& data) {
+    ASSERT_TRUE(service->RegisterDataset("walk", data, nullptr).ok());
+    VariantSpec spec;
+    spec.sax = DropRaceSax();
+    spec.family = family;
+    spec.num_shards = shards;
+    spec.buffer_entries = 24;
+    ASSERT_TRUE(service->BuildIndex("live", spec, "walk").ok());
+    // The index owns its data: the dataset may go first.
+    ASSERT_TRUE(service->DropDataset("walk").ok());
+  };
+}
+
+TEST(EpochDropRaceTest, DropStaticCTreeWhileQueriesAndListingsRace) {
+  RunDropRace("epoch_drop_race_ctree", BuildStatic(IndexFamily::kCTree, 1),
+              /*streaming=*/false, /*heatmaps=*/true);
+}
+
+TEST(EpochDropRaceTest, DropStaticAdsWhileQueriesAndListingsRace) {
+  RunDropRace("epoch_drop_race_ads", BuildStatic(IndexFamily::kAds, 1),
+              /*streaming=*/false, /*heatmaps=*/true);
+}
+
+TEST(EpochDropRaceTest, DropShardedCTreeWhileQueriesAndListingsRace) {
+  RunDropRace("epoch_drop_race_sharded", BuildStatic(IndexFamily::kCTree, 2),
+              /*streaming=*/false, /*heatmaps=*/false);
 }
 
 }  // namespace

@@ -4,11 +4,17 @@
 // parallel construction sorts. This suite is the regression net every
 // performance PR runs under: any change to the construction pipeline,
 // storage layer or query path that alters exact results fails here.
+// The service case below sends the same queries from many threads at once:
+// static indexes answer without any per-index lock, so every concurrent
+// answer, I/O report and heat map must equal the query's solo one.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
+#include <thread>
 #include <tuple>
 
+#include "palm/api.h"
 #include "palm/factory.h"
 #include "tests/test_util.h"
 
@@ -150,6 +156,158 @@ INSTANTIATE_TEST_SUITE_P(
         OracleCase{IndexFamily::kClsm, false, 1},
         OracleCase{IndexFamily::kClsm, true, 1}),
     CaseName);
+
+// ------------------------------------------------- concurrent service reads
+
+bool SameIo(const storage::IoStats& a, const storage::IoStats& b) {
+  return a.sequential_reads == b.sequential_reads &&
+         a.random_reads == b.random_reads &&
+         a.sequential_writes == b.sequential_writes &&
+         a.random_writes == b.random_writes && a.bytes_read == b.bytes_read &&
+         a.bytes_written == b.bytes_written;
+}
+
+bool SameCounters(const core::QueryCounters& a, const core::QueryCounters& b) {
+  return a.leaves_visited == b.leaves_visited &&
+         a.leaves_pruned == b.leaves_pruned &&
+         a.entries_examined == b.entries_examined &&
+         a.raw_fetches == b.raw_fetches &&
+         a.partitions_visited == b.partitions_visited &&
+         a.partitions_skipped == b.partitions_skipped;
+}
+
+bool SameHeatMap(const api::QueryReport& a, const api::QueryReport& b) {
+  return a.has_heatmap == b.has_heatmap &&
+         a.heatmap.counts == b.heatmap.counts &&
+         a.heatmap.total_events == b.heatmap.total_events &&
+         a.heatmap.distinct_pages == b.heatmap.distinct_pages &&
+         a.heatmap.distinct_files == b.heatmap.distinct_files &&
+         a.access_locality == b.access_locality;
+}
+
+// Whether a concurrent report is the solo one: same answer, same I/O, same
+// counters, same heat map (only the wall time may differ).
+bool SameReport(const api::QueryReport& a, const api::QueryReport& b) {
+  return a.found == b.found && a.series_id == b.series_id &&
+         a.distance == b.distance && a.timestamp == b.timestamp &&
+         SameIo(a.io, b.io) && SameCounters(a.counters, b.counters) &&
+         SameHeatMap(a, b);
+}
+
+TEST(ConcurrentServiceOracle, StaticReadersMatchSoloAnswersAndBruteForce) {
+  auto scratch = storage::MakeTempStorage("oracle_service").TakeValue();
+  auto service =
+      api::Service::Create(scratch->directory() + "/svc").TakeValue();
+  const series::SeriesCollection collection =
+      testutil::RandomWalkCollection(600, 64, 91);
+  ASSERT_TRUE(service->RegisterDataset("walk", collection, nullptr).ok());
+  // What the service stores: its own z-normalization of every series.
+  series::SeriesCollection stored(64);
+  for (size_t i = 0; i < collection.size(); ++i) {
+    std::vector<float> v(collection[i].begin(), collection[i].end());
+    series::ZNormalize(v);
+    stored.Append(v);
+  }
+
+  struct Target {
+    std::string name;
+    IndexFamily family;
+    bool materialized;
+    size_t shards;
+  };
+  const std::vector<Target> targets = {
+      {"ctree", IndexFamily::kCTree, false, 1},
+      {"ctree_full", IndexFamily::kCTree, true, 1},
+      {"ads", IndexFamily::kAds, false, 1},
+      {"clsm", IndexFamily::kClsm, false, 1},
+      {"ctree_2shards", IndexFamily::kCTree, false, 2},
+  };
+  std::vector<api::QueryRequest> requests;
+  for (const Target& target : targets) {
+    VariantSpec spec;
+    spec.sax = OracleSax();
+    spec.family = target.family;
+    spec.materialized = target.materialized;
+    spec.num_shards = target.shards;
+    spec.buffer_entries = 128;
+    auto built = service->BuildIndex(target.name, spec, "walk");
+    ASSERT_TRUE(built.ok()) << target.name << ": " << built.status().ToString();
+    for (int q = 0; q < 6; ++q) {
+      api::QueryRequest request;
+      request.index = target.name;
+      request.query = testutil::NoisyCopy(collection, (q * 97 + 11) % 600,
+                                          0.5, 900 + q);
+      requests.push_back(request);  // Exact.
+      request.exact = false;
+      requests.push_back(request);  // Approximate.
+      if (target.shards == 1) {
+        request.exact = true;
+        request.capture_heatmap = true;
+        requests.push_back(request);  // Exact with a heat map.
+      }
+    }
+  }
+  // Shards number their files independently; the heat map is refused.
+  api::QueryRequest sharded_map = requests.back();
+  sharded_map.capture_heatmap = true;
+  EXPECT_EQ(service->Query(sharded_map).status().code(),
+            StatusCode::kNotSupported);
+
+  // The first pass warms every buffer pool, so the solo pass below is the
+  // steady state each concurrent query must reproduce exactly.
+  for (const api::QueryRequest& request : requests) {
+    ASSERT_TRUE(service->Query(request).ok());
+  }
+  std::vector<api::QueryReport> solo;
+  for (const api::QueryRequest& request : requests) {
+    auto report = service->Query(request);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    solo.push_back(report.TakeValue());
+  }
+  for (size_t r = 0; r < requests.size(); ++r) {
+    const api::QueryRequest& request = requests[r];
+    if (!request.exact) continue;
+    std::vector<float> query = request.query;
+    series::ZNormalize(query);
+    const auto oracle = testutil::BruteForceKnn(stored, query, 1);
+    ASSERT_TRUE(solo[r].found) << request.index;
+    EXPECT_NEAR(solo[r].distance * solo[r].distance, oracle[0].distance_sq,
+                1e-4)
+        << request.index << " request " << r;
+    EXPECT_NEAR(series::EuclideanSquared(query, stored[solo[r].series_id]),
+                oracle[0].distance_sq, 1e-4)
+        << request.index << " request " << r;
+    EXPECT_EQ(solo[r].has_heatmap, request.capture_heatmap);
+  }
+
+  constexpr size_t kThreads = 6;
+  constexpr size_t kRounds = 2;
+  std::vector<size_t> mismatches(kThreads, 0);
+  std::vector<size_t> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the requests from its own offset, so every
+      // index sees several different queries at once.
+      for (size_t i = 0; i < kRounds * requests.size(); ++i) {
+        const size_t r = (i + t * 7) % requests.size();
+        auto report = service->Query(requests[r]);
+        if (!report.ok()) {
+          ++failures[t];
+        } else if (!SameReport(report.value(), solo[r])) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], 0u) << "thread " << t;
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
+  service.reset();
+  ASSERT_TRUE(scratch->Clear().ok());
+}
 
 }  // namespace
 }  // namespace palm

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <thread>
+#include <vector>
 
 #include "storage/buffer_pool.h"
 #include "storage/file.h"
+#include "storage/io_scope.h"
 #include "storage/storage_manager.h"
 
 namespace coconut {
@@ -125,25 +128,108 @@ TEST_F(StorageTest, TotalBytesOnDisk) {
   EXPECT_EQ(mgr_->TotalBytesOnDisk(), 3 * kPageSize);
 }
 
-TEST_F(StorageTest, AccessTrackerRecordsOnlyWhenEnabled) {
+TEST_F(StorageTest, IoScopeRecordsOnlyWhileAlive) {
   auto file = mgr_->CreateFile("a").TakeValue();
   Page p;
   ASSERT_TRUE(file->WritePage(0, p).ok());
-  EXPECT_TRUE(mgr_->tracker()->events().empty());
+  EXPECT_EQ(IoScope::Current(), nullptr);
 
-  mgr_->tracker()->Enable();
-  ASSERT_TRUE(file->WritePage(1, p).ok());
-  ASSERT_TRUE(file->ReadPage(0, &p).ok());
-  mgr_->tracker()->Disable();
+  std::vector<AccessEvent> ev;
+  {
+    IoScope scope(/*capture_accesses=*/true);
+    EXPECT_EQ(IoScope::Current(), &scope);
+    ASSERT_TRUE(file->WritePage(1, p).ok());
+    ASSERT_TRUE(file->ReadPage(0, &p).ok());
+    EXPECT_EQ(scope.stats().total_writes(), 1u);
+    EXPECT_EQ(scope.stats().total_reads(), 1u);
+    ev = scope.accesses();
+  }
+  EXPECT_EQ(IoScope::Current(), nullptr);
   ASSERT_TRUE(file->WritePage(2, p).ok());
 
-  const auto& ev = mgr_->tracker()->events();
   ASSERT_EQ(ev.size(), 2u);
   EXPECT_TRUE(ev[0].is_write);
   EXPECT_EQ(ev[0].page_no, 1u);
   EXPECT_FALSE(ev[1].is_write);
   EXPECT_EQ(ev[1].page_no, 0u);
   EXPECT_LT(ev[0].sequence, ev[1].sequence);
+  // The manager's shared counters see every access, scoped or not.
+  EXPECT_EQ(mgr_->io_stats()->total_writes(), 3u);
+}
+
+TEST_F(StorageTest, IoScopesNestAndAbsorb) {
+  auto file = mgr_->CreateFile("a").TakeValue();
+  Page p;
+  for (uint64_t i = 0; i < 3; ++i) ASSERT_TRUE(file->WritePage(i, p).ok());
+
+  IoScope outer(/*capture_accesses=*/true);
+  ASSERT_TRUE(file->ReadPage(0, &p).ok());
+  {
+    IoScope inner(/*capture_accesses=*/true);
+    EXPECT_EQ(IoScope::Current(), &inner);
+    ASSERT_TRUE(file->ReadPage(2, &p).ok());  // First access: sequential.
+    ASSERT_TRUE(file->ReadPage(0, &p).ok());  // A hop: random.
+    EXPECT_EQ(inner.stats().sequential_reads, 1u);
+    EXPECT_EQ(inner.stats().random_reads, 1u);
+    EXPECT_EQ(outer.stats().total_reads(), 1u);
+    outer.Absorb(inner);
+  }
+  EXPECT_EQ(IoScope::Current(), &outer);
+  EXPECT_EQ(outer.stats().total_reads(), 3u);
+  // The outer head is still its own: page 1 continues its read of page 0.
+  ASSERT_TRUE(file->ReadPage(1, &p).ok());
+  EXPECT_EQ(outer.stats().sequential_reads, 3u);
+  EXPECT_EQ(outer.stats().random_reads, 1u);
+  ASSERT_EQ(outer.accesses().size(), 4u);
+  EXPECT_EQ(outer.accesses()[1].page_no, 2u);
+  EXPECT_EQ(outer.accesses()[3].page_no, 1u);
+}
+
+// Two threads read the same file at once; each thread's scope must hold
+// exactly its own reads, classified against its own head.
+TEST_F(StorageTest, IoScopesOfConcurrentThreadsStayApart) {
+  auto file = mgr_->CreateFile("a").TakeValue();
+  Page p;
+  constexpr uint64_t kPages = 64;
+  for (uint64_t i = 0; i < kPages; ++i) {
+    ASSERT_TRUE(file->WritePage(i, p).ok());
+  }
+  constexpr int kRounds = 50;
+  IoStats sequential_stats;
+  IoStats strided_stats;
+  std::thread sequential([&] {
+    IoScope scope;
+    Page page;
+    for (int r = 0; r < kRounds; ++r) {
+      for (uint64_t i = 0; i < kPages; ++i) {
+        ASSERT_TRUE(file->ReadPage(i, &page).ok());
+      }
+    }
+    sequential_stats = scope.stats();
+  });
+  std::thread strided([&] {
+    IoScope scope;
+    Page page;
+    for (int r = 0; r < kRounds; ++r) {
+      for (uint64_t i = 0; i < kPages; i += 2) {
+        ASSERT_TRUE(file->ReadPage(i, &page).ok());
+      }
+    }
+    strided_stats = scope.stats();
+  });
+  sequential.join();
+  strided.join();
+
+  // One scan after another: only each round's restart at page 0 hops.
+  EXPECT_EQ(sequential_stats.total_reads(), kRounds * kPages);
+  EXPECT_EQ(sequential_stats.random_reads, kRounds - 1u);
+  EXPECT_EQ(sequential_stats.bytes_read, kRounds * kPages * kPageSize);
+  // Every read but the first skips a page.
+  EXPECT_EQ(strided_stats.total_reads(), kRounds * kPages / 2);
+  EXPECT_EQ(strided_stats.sequential_reads, 1u);
+  EXPECT_EQ(strided_stats.bytes_read, kRounds * kPages / 2 * kPageSize);
+  EXPECT_EQ(mgr_->SnapshotIoStats().total_reads(),
+            kRounds * kPages + kRounds * kPages / 2);
 }
 
 // ----------------------------------------------------- durability primitives
@@ -247,13 +333,14 @@ TEST_F(StorageTest, BufferPoolCachesPages) {
   ASSERT_TRUE(file->WritePage(0, p).ok());
 
   BufferPool pool(16 * kPageSize);
-  auto r1 = pool.GetPage(file.get(), 0);
-  ASSERT_TRUE(r1.ok());
-  EXPECT_EQ(std::memcmp(r1.value()->data(), "xyz", 3), 0);
+  Page r1;
+  ASSERT_TRUE(pool.ReadPage(file.get(), 0, &r1).ok());
+  EXPECT_EQ(std::memcmp(r1.data(), "xyz", 3), 0);
   EXPECT_EQ(pool.misses(), 1u);
 
-  auto r2 = pool.GetPage(file.get(), 0);
-  ASSERT_TRUE(r2.ok());
+  Page r2;
+  ASSERT_TRUE(pool.ReadPage(file.get(), 0, &r2).ok());
+  EXPECT_EQ(std::memcmp(r2.data(), "xyz", 3), 0);
   EXPECT_EQ(pool.hits(), 1u);
   // Second fetch must not touch the file again.
   EXPECT_EQ(mgr_->io_stats()->total_reads(), 1u);
@@ -265,11 +352,11 @@ TEST_F(StorageTest, BufferPoolEvictsLru) {
   for (uint64_t i = 0; i < 4; ++i) ASSERT_TRUE(file->WritePage(i, p).ok());
 
   BufferPool pool(2 * kPageSize);  // Capacity: 2 pages.
-  ASSERT_TRUE(pool.GetPage(file.get(), 0).ok());
-  ASSERT_TRUE(pool.GetPage(file.get(), 1).ok());
-  ASSERT_TRUE(pool.GetPage(file.get(), 2).ok());  // Evicts page 0.
+  ASSERT_TRUE(pool.ReadPage(file.get(), 0, &p).ok());
+  ASSERT_TRUE(pool.ReadPage(file.get(), 1, &p).ok());
+  ASSERT_TRUE(pool.ReadPage(file.get(), 2, &p).ok());  // Evicts page 0.
   EXPECT_EQ(pool.cached_pages(), 2u);
-  ASSERT_TRUE(pool.GetPage(file.get(), 0).ok());  // Miss again.
+  ASSERT_TRUE(pool.ReadPage(file.get(), 0, &p).ok());  // Miss again.
   EXPECT_EQ(pool.misses(), 4u);
   EXPECT_EQ(pool.hits(), 0u);
 }
@@ -281,24 +368,87 @@ TEST_F(StorageTest, BufferPoolInvalidate) {
   ASSERT_TRUE(file->WritePage(0, p).ok());
 
   BufferPool pool(4 * kPageSize);
-  ASSERT_TRUE(pool.GetPage(file.get(), 0).ok());
+  ASSERT_TRUE(pool.ReadPage(file.get(), 0, &p).ok());
 
   std::memcpy(p.data(), "new", 3);
   ASSERT_TRUE(file->WritePage(0, p).ok());
   pool.Invalidate(file->file_id());
 
-  auto r = pool.GetPage(file.get(), 0);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(std::memcmp(r.value()->data(), "new", 3), 0);
+  Page r;
+  ASSERT_TRUE(pool.ReadPage(file.get(), 0, &r).ok());
+  EXPECT_EQ(std::memcmp(r.data(), "new", 3), 0);
 }
 
 TEST_F(StorageTest, BufferPoolErrorOnMissingPage) {
   auto file = mgr_->CreateFile("a").TakeValue();
   BufferPool pool(4 * kPageSize);
-  auto r = pool.GetPage(file.get(), 5);
-  EXPECT_FALSE(r.ok());
+  Page p;
+  EXPECT_FALSE(pool.ReadPage(file.get(), 5, &p).ok());
   // Failed fetch must not leave a frame behind.
   EXPECT_EQ(pool.cached_pages(), 0u);
+}
+
+// Eight readers share a pool far smaller than the file, so nearly every
+// read evicts a frame some other reader just used. Every page read must
+// still be byte-exact: a hit hands out a copy, never a frame pointer.
+TEST_F(StorageTest, BufferPoolConcurrentReadersSeeExactPages) {
+  auto file = mgr_->CreateFile("a").TakeValue();
+  constexpr uint64_t kPages = 32;
+  auto fill = [](uint64_t page_no, Page* page) {
+    for (size_t b = 0; b < kPageSize; ++b) {
+      page->data()[b] = static_cast<uint8_t>(page_no * 131 + b * 7);
+    }
+  };
+  for (uint64_t i = 0; i < kPages; ++i) {
+    Page p;
+    fill(i, &p);
+    ASSERT_TRUE(file->WritePage(i, p).ok());
+  }
+
+  BufferPool pool(2 * kPageSize);
+  constexpr int kThreads = 8;
+  constexpr int kReads = 2000;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<int> failures(kThreads, 0);
+  std::vector<uint64_t> scoped_reads(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      IoScope scope;
+      Page got;
+      Page want;
+      for (int r = 0; r < kReads; ++r) {
+        // Small hot set (pages 0-2) mixed with a sweep, so hits and
+        // evictions interleave across threads.
+        const uint64_t page_no =
+            (r % 3 == 0) ? static_cast<uint64_t>(r / 3 + t) % kPages
+                         : static_cast<uint64_t>(r + t) % 3;
+        if (!pool.ReadPage(file.get(), page_no, &got).ok()) {
+          ++failures[t];
+          continue;
+        }
+        fill(page_no, &want);
+        if (std::memcmp(got.data(), want.data(), kPageSize) != 0) {
+          ++mismatches[t];
+        }
+      }
+      scoped_reads[t] = scope.stats().total_reads();
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  uint64_t file_reads = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], 0) << "thread " << t;
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+    file_reads += scoped_reads[t];
+  }
+  // Each miss is one file read, charged to the reader that missed.
+  EXPECT_EQ(pool.hits() + pool.misses(),
+            static_cast<uint64_t>(kThreads) * kReads);
+  EXPECT_EQ(file_reads, pool.misses());
+  EXPECT_EQ(mgr_->SnapshotIoStats().total_reads(), pool.misses());
+  EXPECT_LE(pool.cached_pages(), 2u);
 }
 
 TEST_F(StorageTest, PageTypedReadWrite) {

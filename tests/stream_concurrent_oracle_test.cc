@@ -6,6 +6,9 @@
 // acknowledged prefix must equal testutil::BruteForceKnn. A second suite
 // pins the tentpole equivalence: a drained async index answers
 // byte-identically to a synchronously built one, for TP, BTP and CLSM.
+// A third case pins per-query I/O attribution through the service: a
+// query's report must describe that query alone, never the concurrent
+// queries or the background seals sharing its index.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +17,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "palm/api.h"
 #include "palm/factory.h"
 #include "series/distance.h"
 #include "stream/btp.h"
@@ -287,6 +291,128 @@ TEST_F(StreamConcurrentOracleTest, DrainedAsyncEquivalentToSyncBuild) {
     TearDown();
     SetUp();
   }
+}
+
+// Readers query an async stream while a writer keeps ingesting into it,
+// so background seals do I/O on the stream's storage beside the readers.
+// The readers' window holds only the drained history, so every answer,
+// I/O report and counter must equal that query's solo report on the
+// quiesced stream — except partitions_skipped, which counts the new
+// partitions sealing outside the window.
+TEST(StreamQueryIoAttribution, ConcurrentReportsEqualSoloReports) {
+  auto scratch = storage::MakeTempStorage("stream_io_scope").TakeValue();
+  auto service =
+      palm::api::Service::Create(scratch->directory() + "/svc").TakeValue();
+  palm::api::CreateStreamRequest create;
+  create.stream = "live";
+  create.spec =
+      BaseSpec(palm::IndexFamily::kCTree, palm::StreamMode::kTP, false);
+  create.spec.async_ingest = true;
+  ASSERT_TRUE(service->CreateStream(create).ok());
+
+  constexpr size_t kHistory = 600;
+  const series::SeriesCollection history =
+      testutil::RandomWalkCollection(kHistory, 64, 31);
+  palm::api::IngestBatchRequest ingest;
+  ingest.stream = "live";
+  ingest.batch = history;
+  for (size_t i = 0; i < kHistory; ++i) {
+    ingest.timestamps.push_back(static_cast<int64_t>(i));
+  }
+  ASSERT_TRUE(service->IngestBatch(ingest).ok());
+  ASSERT_TRUE(service->DrainStream("live").ok());
+
+  std::vector<palm::api::QueryRequest> requests;
+  for (int q = 0; q < 8; ++q) {
+    palm::api::QueryRequest request;
+    request.index = "live";
+    request.query =
+        testutil::NoisyCopy(history, (q * 73 + 5) % kHistory, 0.4, 300 + q);
+    request.window = TimeWindow{0, static_cast<int64_t>(kHistory) - 1};
+    request.exact = q % 2 == 0;
+    requests.push_back(request);
+  }
+  // Warm the buffer pool, then take the solo reports.
+  for (const auto& request : requests) {
+    ASSERT_TRUE(service->Query(request).ok());
+  }
+  std::vector<palm::api::QueryReport> solo;
+  for (const auto& request : requests) {
+    auto report = service->Query(request);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_TRUE(report.value().found);
+    ASSERT_GT(report.value().io.total_reads(), 0u);
+    solo.push_back(report.TakeValue());
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> churn_batches{0};
+  std::thread writer([&] {
+    const series::SeriesCollection fresh =
+        testutil::RandomWalkCollection(240, 64, 32);
+    int64_t next_ts = static_cast<int64_t>(kHistory);
+    while (!stop.load(std::memory_order_acquire)) {
+      palm::api::IngestBatchRequest batch;
+      batch.stream = "live";
+      batch.batch = fresh;
+      for (size_t i = 0; i < fresh.size(); ++i) {
+        batch.timestamps.push_back(next_ts++);
+      }
+      ASSERT_TRUE(service->IngestBatch(batch).ok());
+      churn_batches.fetch_add(1, std::memory_order_acq_rel);
+    }
+  });
+
+  constexpr size_t kReaders = 4;
+  constexpr size_t kRounds = 6;
+  std::vector<size_t> mismatches(kReaders, 0);
+  std::vector<size_t> failures(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      for (size_t i = 0; i < kRounds * requests.size(); ++i) {
+        const size_t r = (i + t * 3) % requests.size();
+        auto got = service->Query(requests[r]);
+        if (!got.ok()) {
+          ++failures[t];
+          continue;
+        }
+        const palm::api::QueryReport& a = got.value();
+        const palm::api::QueryReport& b = solo[r];
+        const storage::IoStats& x = a.io;
+        const storage::IoStats& y = b.io;
+        const bool same =
+            a.found == b.found && a.series_id == b.series_id &&
+            a.distance == b.distance &&
+            x.sequential_reads == y.sequential_reads &&
+            x.random_reads == y.random_reads &&
+            x.bytes_read == y.bytes_read && x.total_writes() == 0 &&
+            x.bytes_written == 0 &&
+            a.counters.leaves_visited == b.counters.leaves_visited &&
+            a.counters.leaves_pruned == b.counters.leaves_pruned &&
+            a.counters.entries_examined == b.counters.entries_examined &&
+            a.counters.raw_fetches == b.counters.raw_fetches &&
+            a.counters.partitions_visited == b.counters.partitions_visited &&
+            a.counters.partitions_skipped >= b.counters.partitions_skipped;
+        if (!same) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  // Keep the writer going until it has sealed in the background at least
+  // a few times, so seal I/O is guaranteed to have overlapped the stream.
+  while (churn_batches.load(std::memory_order_acquire) < 3) {
+    std::this_thread::yield();
+  }
+  stop.store(true, std::memory_order_release);
+  writer.join();
+  for (size_t t = 0; t < kReaders; ++t) {
+    EXPECT_EQ(failures[t], 0u) << "reader " << t;
+    EXPECT_EQ(mismatches[t], 0u) << "reader " << t;
+  }
+  ASSERT_TRUE(service->DrainStream("live").ok());
+  service.reset();
+  ASSERT_TRUE(scratch->Clear().ok());
 }
 
 }  // namespace
