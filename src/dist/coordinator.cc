@@ -152,13 +152,13 @@ std::vector<Result<std::string>> Coordinator::Scatter(
     results[s] = binary ? shards_[s]->CallBinaryIngest(*params[s])
                         : shards_[s]->Call(method, *params[s], idempotent);
   };
-  if (num_shards == 1) {
-    call_one(0);
-    return results;
-  }
+  // The last shard's call runs on the calling thread.
   std::vector<std::thread> threads;
-  threads.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) threads.emplace_back(call_one, s);
+  threads.reserve(num_shards - 1);
+  for (size_t s = 0; s + 1 < num_shards; ++s) {
+    threads.emplace_back(call_one, s);
+  }
+  call_one(num_shards - 1);
   for (std::thread& thread : threads) thread.join();
   return results;
 }
@@ -263,6 +263,7 @@ Result<api::BuildIndexReport> Coordinator::BuildIndex(
     handle = std::make_shared<DistHandle>();
     handle->spec = request.spec;
     handle->streaming = false;
+    handle->version.store(NextVersion());
     handles_[request.index] = handle;  // reserved: building=true
   }
   auto unregister = [&] {
@@ -404,6 +405,7 @@ Result<api::CreateStreamResponse> Coordinator::CreateStream(
     handle = std::make_shared<DistHandle>();
     handle->spec = request.spec;
     handle->streaming = true;
+    handle->version.store(NextVersion());
     handles_[request.stream] = handle;
   }
 
@@ -478,6 +480,9 @@ Result<api::IngestBatchReport> Coordinator::IngestBatch(
         std::to_string(handle->spec.sax.series_length));
   }
   std::lock_guard<std::mutex> op_lock(handle->op_mutex);
+  if (handle->dropped.load()) {
+    return Status::NotFound("stream '" + request.stream + "' not found");
+  }
   WallTimer timer;
   const size_t num_shards = shards_.size();
 
@@ -588,7 +593,7 @@ Result<api::IngestBatchReport> Coordinator::IngestBatch(
   }
   handle->next_series_id = next_id;
   handle->last_timestamp = watermark;
-  ++handle->version;
+  handle->version.store(NextVersion());
 
   if (!failure.ok()) {
     if (failure.code() == StatusCode::kUnavailable) {
@@ -612,6 +617,9 @@ Result<api::DrainStreamReport> Coordinator::DrainStream(
     return Status::NotFound("stream '" + request.stream + "' not found");
   }
   std::lock_guard<std::mutex> op_lock(handle->op_mutex);
+  if (handle->dropped.load()) {
+    return Status::NotFound("stream '" + request.stream + "' not found");
+  }
   WallTimer timer;
   api::DrainStreamRequest shard_drain;
   shard_drain.stream = request.stream;
@@ -626,7 +634,7 @@ Result<api::DrainStreamReport> Coordinator::DrainStream(
         ParseShardBody<api::DrainStreamReport>(shards_[s]->endpoint(),
                                                raw[s]);
     if (!parsed.ok()) {
-      ++handle->version;
+      handle->version.store(NextVersion());
       if (parsed.status().code() == StatusCode::kUnavailable) {
         return Status::Unavailable(
             parsed.status().message() +
@@ -656,7 +664,7 @@ Result<api::DrainStreamReport> Coordinator::DrainStream(
   // Draining seals buffers and publishes partitions: the shard-side
   // snapshot versions moved, so cached answers stamped before the drain
   // must not be served after it.
-  ++handle->version;
+  handle->version.store(NextVersion());
   return report;
 }
 
@@ -760,13 +768,17 @@ Result<api::QueryReport> Coordinator::Query(const api::QueryRequest& request) {
   if (cacheable) {
     cache_key = api::QueryCache::KeyFor(request);
     if (std::optional<api::QueryReport> hit =
-            cache->Lookup(cache_key, handle->version)) {
+            cache->Lookup(cache_key, handle->version.load())) {
       return *std::move(hit);
     }
   }
 
-  std::lock_guard<std::mutex> op_lock(handle->op_mutex);
-  const uint64_t version_before = handle->version;
+  // A static handle's id maps and shard set never change after it is
+  // published, so its queries scatter, gather and fold concurrently; a
+  // stream's maps grow under ingest, so its queries take the op mutex.
+  std::unique_lock<std::mutex> op_lock(handle->op_mutex, std::defer_lock);
+  if (handle->streaming) op_lock.lock();
+  const uint64_t version_before = handle->version.load();
   WallTimer timer;
   const std::string params = request.ToJsonString();
   std::vector<std::optional<std::string>> per_shard(shards_.size());
@@ -799,13 +811,20 @@ Result<api::QueryReport> Coordinator::Query(const api::QueryRequest& request) {
     // nothing to serve.
     return unavailable;
   }
+  // Dropped since the pin: the shards may have answered for a replacement
+  // index under the same name, so nothing gathered here is folded or
+  // cached.
+  if (handle->dropped.load()) {
+    return Status::NotFound("index '" + request.index + "' not found");
+  }
   COCONUT_ASSIGN_OR_RETURN(
       api::QueryReport report,
       FoldShardReports(request, handle.get(), answers, degraded));
   report.seconds = timer.ElapsedSeconds();
   // Never cache a degraded answer: it covers a subset of the key space,
   // and the version stamp does not move when the dead shard comes back.
-  if (cacheable && !report.degraded && handle->version == version_before) {
+  if (cacheable && !report.degraded &&
+      handle->version.load() == version_before) {
     cache->Insert(cache_key, request.index, version_before, report);
   }
   return report;
@@ -818,6 +837,12 @@ api::QueryBatchResponse Coordinator::QueryBatch(
   response.results.resize(num_queries);
   if (num_queries == 0) return response;
   const size_t num_shards = shards_.size();
+  // Pinned before the scatter, so a handle found not dropped after the
+  // gather is the index every shard answered for.
+  std::vector<std::shared_ptr<DistHandle>> handles(num_queries);
+  for (size_t i = 0; i < num_queries; ++i) {
+    handles[i] = PinHandle(request.queries[i].index);
+  }
 
   // One scatter of the WHOLE batch per shard (not one RPC per query):
   // each shard runs its positions through its own batched scan path and
@@ -859,8 +884,8 @@ api::QueryBatchResponse Coordinator::QueryBatch(
       entry.ok = false;
       entry.error = api::ApiError::FromStatus(status);
     };
-    std::shared_ptr<DistHandle> handle = PinHandle(query.index);
-    if (handle == nullptr) {
+    const std::shared_ptr<DistHandle>& handle = handles[i];
+    if (handle == nullptr || handle->dropped.load()) {
       fail(Status::NotFound("index '" + query.index + "' not found"));
       continue;
     }
@@ -873,7 +898,8 @@ api::QueryBatchResponse Coordinator::QueryBatch(
     bool degraded = false;
     Status unavailable = Status::OK();
     Status failure = Status::OK();
-    std::lock_guard<std::mutex> op_lock(handle->op_mutex);
+    std::unique_lock<std::mutex> op_lock(handle->op_mutex, std::defer_lock);
+    if (handle->streaming) op_lock.lock();
     for (size_t s = 0; s < num_shards && failure.ok(); ++s) {
       if (!handle->has_index[s]) continue;
       if (!shard_status[s].ok()) {
@@ -989,9 +1015,12 @@ Result<api::DropIndexResponse> Coordinator::DropIndex(
     }
     handle = it->second;
     handles_.erase(it);
+    handle->dropped.store(true);
   }
-  // Wait out in-flight operations on the handle before tearing the
-  // shard-side state down under them.
+  // Wait out a stream's in-flight ingest, drain and queries before
+  // tearing the shard-side state down under them. Static queries hold no
+  // lock: the tombstone above turns any of them still gathering into a
+  // NotFound.
   std::lock_guard<std::mutex> op_lock(handle->op_mutex);
   api::DropIndexRequest shard_drop;
   shard_drop.index = request.index;

@@ -1,6 +1,7 @@
 #ifndef COCONUT_DIST_COORDINATOR_H_
 #define COCONUT_DIST_COORDINATOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -62,9 +63,12 @@ struct CoordinatorOptions {
 /// serves recovered durable shard streams with structured errors rather
 /// than mistranslated ids.
 ///
-/// Thread safety: same discipline as api::Service — a registry
-/// shared_mutex guards the name maps, and per-handle op mutexes serialize
-/// ingest/drain/query per stream or index.
+/// Thread safety: a registry shared_mutex guards the name maps. A static
+/// index is immutable once published, so its queries take no per-handle
+/// lock and run concurrently end to end (each shard's ShardClient pools
+/// its connections); a drop tombstones the handle instead of waiting them
+/// out. A stream's op mutex serializes its ingest, drain and queries: its
+/// id maps grow in place under ingest.
 class Coordinator : public HttpDispatcher {
  public:
   static Result<std::unique_ptr<Coordinator>> Create(
@@ -127,25 +131,39 @@ class Coordinator : public HttpDispatcher {
     /// twin of ShardedStreamingIndex::last_timestamp_.
     int64_t last_timestamp = std::numeric_limits<int64_t>::min();
     /// local_to_global[s][local_id] = global series id, mirroring the
-    /// per-shard maps the single-process sharded wrappers keep.
+    /// per-shard maps the single-process sharded wrappers keep. Written
+    /// before `building` is cleared and never again for a static index;
+    /// a stream's maps grow under op_mutex.
     std::vector<std::vector<uint64_t>> local_to_global;
     /// Static builds skip shards whose key range received no series (an
     /// empty dataset cannot be registered remotely); queries skip them
     /// too — an empty inner shard contributes nothing either way.
     std::vector<bool> has_index;
-    /// Coordinator-side snapshot stamp for the answer cache: bumped on
-    /// every successful mutation (ingest/drain/drop). Valid because all
-    /// mutations of shard data flow through this coordinator.
-    uint64_t version = 1;
+    /// Coordinator-side snapshot stamp for the answer cache, moved on
+    /// every ingest and drain. Valid because all mutations of shard data
+    /// flow through this coordinator. Every value comes from the
+    /// coordinator-wide NextVersion() counter, so a stamp is never reused
+    /// — not even by a later index under the same name.
+    std::atomic<uint64_t> version{0};
     /// True while the creating thread populates the handle outside the
     /// registry lock; PinHandle skips building handles.
     bool building = true;
+    /// Tombstone, set by DropIndex before the shard-side drop is
+    /// scattered. A query that pinned the handle checks it after its
+    /// gather: once set, the shards may already answer for a replacement
+    /// index under the same name, which this handle's id maps would
+    /// mistranslate.
+    std::atomic<bool> dropped{false};
+    /// Serializes a stream's ingest, drain and queries. Static queries
+    /// never take it.
     std::mutex op_mutex;
   };
 
   explicit Coordinator(CoordinatorOptions options);
 
   std::shared_ptr<DistHandle> PinHandle(const std::string& name) const;
+
+  uint64_t NextVersion() { return next_version_.fetch_add(1); }
 
   /// num_shards in a wire spec must be 1 or match the topology (the
   /// topology IS the shard split; a different inner sharding would break
@@ -170,8 +188,9 @@ class Coordinator : public HttpDispatcher {
   /// Gathers per-shard query reports into one: counters/io summed, the
   /// match folded by (distance, global id) with local ids translated
   /// through the handle's maps. `answers` pairs shard ordinals with their
-  /// reports; caller holds the handle's op mutex (the id maps grow under
-  /// it).
+  /// reports. For a stream the caller holds the handle's op mutex (the id
+  /// maps grow under it); a static handle's maps are immutable, so its
+  /// folds run concurrently with no lock.
   Result<api::QueryReport> FoldShardReports(
       const api::QueryRequest& request, DistHandle* handle,
       const std::vector<std::pair<size_t, api::QueryReport>>& answers,
@@ -183,6 +202,7 @@ class Coordinator : public HttpDispatcher {
   mutable std::shared_mutex mu_;
   std::map<std::string, std::shared_ptr<const Dataset>> datasets_;
   std::map<std::string, std::shared_ptr<DistHandle>> handles_;
+  std::atomic<uint64_t> next_version_{1};
 
   std::unique_ptr<api::QueryCache> query_cache_;
   std::unique_ptr<api::QuotaEnforcer> quota_;

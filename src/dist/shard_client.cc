@@ -3,6 +3,7 @@
 #include "common/json.h"
 #include "dist/binary_codec.h"
 #include "palm/api.h"
+#include "palm/http_server.h"
 
 namespace coconut {
 namespace palm {
@@ -77,7 +78,8 @@ Status StatusFromApiError(const api::ApiError& error) {
 
 ShardClient::ShardClient(ShardEndpoint endpoint, ShardClientOptions options)
     : endpoint_(std::move(endpoint)),
-      client_(endpoint_.host, endpoint_.port, ToClientOptions(options)) {}
+      client_options_(ToClientOptions(options)),
+      max_connections_(HttpServerOptions{}.threads) {}
 
 Result<std::string> ShardClient::Call(const std::string& method,
                                       const std::string& params_json,
@@ -91,29 +93,54 @@ Result<std::string> ShardClient::CallBinaryIngest(const std::string& frame) {
                    /*may_retry=*/false);
 }
 
+std::unique_ptr<BlockingHttpClient> ShardClient::Checkout() {
+  std::unique_lock<std::mutex> lock(mu_);
+  idle_cv_.wait(lock,
+                [&] { return !idle_.empty() || created_ < max_connections_; });
+  if (idle_.empty()) {
+    ++created_;
+    return std::make_unique<BlockingHttpClient>(endpoint_.host, endpoint_.port,
+                                                client_options_);
+  }
+  std::unique_ptr<BlockingHttpClient> client = std::move(idle_.back());
+  idle_.pop_back();
+  return client;
+}
+
 Result<std::string> ShardClient::RoundTrip(
     const std::string& target, const std::string& body,
     const std::vector<std::pair<std::string, std::string>>& headers,
     bool may_retry) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++requests_;
-  Result<HttpClientResponse> response = client_.Post(target, body, headers);
+  std::unique_ptr<BlockingHttpClient> client = Checkout();
+  Result<HttpClientResponse> response = client->Post(target, body, headers);
   if (!response.ok() && may_retry) {
     // One bounded retry from a fresh connection: covers a shard that
     // restarted (stale keep-alive socket) or a transient connect refusal.
     // Only idempotent calls reach here, so a request the shard may have
     // already applied is never re-sent.
-    client_.Close();
-    response = client_.Post(target, body, headers);
+    client->Close();
+    response = client->Post(target, body, headers);
   }
+  // A connection that failed mid-request may hold a half-read response;
+  // it goes back to the pool closed, to reconnect on its next use.
+  if (!response.ok()) client->Close();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    idle_.push_back(std::move(client));
+    ++requests_;
+    if (!response.ok()) {
+      ++failures_;
+      ++consecutive_failures_;
+    } else {
+      consecutive_failures_ = 0;
+    }
+  }
+  idle_cv_.notify_one();
   if (!response.ok()) {
-    ++failures_;
-    ++consecutive_failures_;
     return Status::Unavailable("shard " + endpoint_.ToString() +
                                " unavailable: " +
                                response.status().message());
   }
-  consecutive_failures_ = 0;
   if (response.value().status < 200 || response.value().status >= 300) {
     return StatusFromErrorBody(endpoint_, response.value().status,
                                response.value().body);

@@ -1,9 +1,13 @@
 #ifndef COCONUT_DIST_SHARD_CLIENT_H_
 #define COCONUT_DIST_SHARD_CLIENT_H_
 
+#include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/status.h"
 #include "dist/topology.h"
@@ -44,8 +48,16 @@ struct ShardClientOptions {
 /// blind resend would duplicate the batch. The retry reconnects from
 /// scratch, so it also covers a shard that restarted between calls.
 ///
-/// Thread-safe: calls serialize on an internal mutex (one connection per
-/// shard; the coordinator scatters across shards, not within one).
+/// Thread-safe, and concurrent: each call checks a keep-alive connection
+/// out of a small LIFO pool, runs its round trip outside any lock, and
+/// checks the connection back in (closed first after a transport
+/// failure). The pool holds at most as many connections as the
+/// HttpServerOptions default worker count, which palm_shardd runs. A
+/// shard worker owns one connection at a time and an idle keep-alive
+/// connection holds it for up to keep_alive_timeout_ms, so one
+/// connection past the shard's worker count could queue for seconds
+/// behind idle ones; callers beyond the cap wait for a free connection
+/// instead.
 class ShardClient {
  public:
   explicit ShardClient(ShardEndpoint endpoint, ShardClientOptions options = {});
@@ -74,14 +86,27 @@ class ShardClient {
   Health health() const;
 
  private:
+  /// Blocks until a pooled connection is idle or the pool may grow. The
+  /// round trip checks the connection back in.
+  std::unique_ptr<BlockingHttpClient> Checkout();
+
   Result<std::string> RoundTrip(
       const std::string& target, const std::string& body,
       const std::vector<std::pair<std::string, std::string>>& headers,
       bool may_retry);
 
   const ShardEndpoint endpoint_;
+  const BlockingHttpClientOptions client_options_;
+  /// Cap on connections to the shard (see the class comment).
+  const size_t max_connections_;
+  /// Guards the pool and the health counters, never a round trip.
   mutable std::mutex mu_;
-  BlockingHttpClient client_;
+  std::condition_variable idle_cv_;
+  /// Checked-in connections; the back is the most recently used, so a
+  /// light load keeps reusing one warm connection.
+  std::vector<std::unique_ptr<BlockingHttpClient>> idle_;
+  /// Connections created so far (idle + checked out); never shrinks.
+  size_t created_ = 0;
   uint64_t requests_ = 0;
   uint64_t failures_ = 0;
   uint64_t consecutive_failures_ = 0;

@@ -2678,11 +2678,18 @@ void Service::QueryGroup(const std::vector<QueryRequest>& requests,
   // them would replay a different wire shape than a fresh single query.
   std::vector<size_t> pending;
   pending.reserve(ordinals.size());
-  QueryCache* cache = query_cache_.get();
-  if (cache != nullptr && handle != nullptr) {
+  bool static_index = false;
+  {
+    // The probe reads the handle's index, which a concurrent DropIndex
+    // tears down once every guard that saw no tombstone has exited (see
+    // Query). A tombstoned handle leaves every request to Query, which
+    // answers NotFound.
+    stream::epoch::EpochGuard guard;
+    if (handle != nullptr && handle->building.load()) handle.reset();
+    QueryCache* cache = query_cache_.get();
     for (size_t ordinal : ordinals) {
       const QueryRequest& r = requests[ordinal];
-      if (QueryCache::Cacheable(r)) {
+      if (cache != nullptr && handle != nullptr && QueryCache::Cacheable(r)) {
         if (std::optional<QueryReport> hit =
                 cache->Lookup(QueryCache::KeyFor(r), IndexVersion(*handle))) {
           (*results)[ordinal] = *std::move(hit);
@@ -2691,8 +2698,7 @@ void Service::QueryGroup(const std::vector<QueryRequest>& requests,
       }
       pending.push_back(ordinal);
     }
-  } else {
-    pending = ordinals;
+    static_index = handle != nullptr && handle->static_index != nullptr;
   }
 
   // Bucket the requests that can share one exact scan: static index, exact,
@@ -2703,7 +2709,7 @@ void Service::QueryGroup(const std::vector<QueryRequest>& requests,
   // validation errors.
   std::vector<size_t> fallback;
   std::vector<std::pair<const QueryRequest*, std::vector<size_t>>> buckets;
-  if (handle != nullptr && handle->static_index != nullptr) {
+  if (static_index) {
     for (size_t ordinal : pending) {
       const QueryRequest& r = requests[ordinal];
       const bool eligible =

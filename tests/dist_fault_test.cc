@@ -3,7 +3,9 @@
 // and a shard that refuses at the application level must all surface as
 // STRUCTURED errors naming the culprit — never wrong answers, never
 // hangs. Degraded-read mode must serve the surviving key ranges and mark
-// the answers; health must show up in server_stats.
+// the answers; health must show up in server_stats. The ShardClient's
+// connection pool must stay within the shard's worker count and survive
+// a shard restart that leaves every pooled connection stale.
 //
 // Most cases run against in-process shard servers (HttpServer::Stop()
 // gives the same connection-refused the coordinator sees after a crash)
@@ -18,8 +20,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -83,6 +91,25 @@ std::unique_ptr<Shard> StartShard(const std::string& root) {
   shard->endpoint = std::make_unique<ServiceEndpoint>(shard->service.get());
   shard->server = HttpServer::Start(shard->endpoint.get(), {}).TakeValue();
   return shard;
+}
+
+/// Established TCP connections whose local end is `port` on this host —
+/// for a listening server, the connections it holds (accepted or still
+/// queued for accept), read from the kernel's IPv4 socket table.
+size_t EstablishedConnectionsTo(uint16_t port) {
+  std::ifstream table("/proc/self/net/tcp");
+  std::string line;
+  std::getline(table, line);  // header
+  size_t count = 0;
+  while (std::getline(table, line)) {
+    std::istringstream fields(line);
+    std::string slot, local, remote, state;
+    fields >> slot >> local >> remote >> state;
+    const size_t colon = local.find(':');
+    if (colon == std::string::npos || state != "01") continue;  // ESTABLISHED
+    if (std::stoul(local.substr(colon + 1), nullptr, 16) == port) ++count;
+  }
+  return count;
 }
 
 api::IngestBatchRequest MakeBatch(const series::SeriesCollection& data,
@@ -326,10 +353,75 @@ TEST(DistFaultTest, TornAndMislabeledBinaryFramesAreStructuredErrors) {
       << clean.value().body;
 }
 
+/// Dispatcher standing in for a shard: every call takes a moment, so
+/// concurrent callers overlap and the client's pool has to grow.
+class SlowEchoDispatcher : public HttpDispatcher {
+ public:
+  Result<std::string> Dispatch(const HttpRequestInfo&) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return std::string("{}");
+  }
+};
+
+TEST(ShardClientPoolTest, CallersBeyondTheCapWaitForAPooledConnection) {
+  // Each server worker owns one connection at a time, and an idle
+  // keep-alive connection keeps its worker for keep_alive_timeout_ms
+  // (5 s). A client opening one connection per caller would park the
+  // surplus behind idle connections for seconds; the pool caps them at
+  // the worker count and makes the surplus callers wait for a
+  // checked-in connection instead.
+  SlowEchoDispatcher dispatcher;
+  const HttpServerOptions server_options;
+  auto server = HttpServer::Start(&dispatcher, server_options).TakeValue();
+  ShardClient client(ShardEndpoint{"127.0.0.1", server->port()});
+
+  std::atomic<bool> done{false};
+  size_t max_held = 0;
+  std::thread sampler([&] {
+    while (!done.load()) {
+      max_held = std::max(max_held, EstablishedConnectionsTo(server->port()));
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  constexpr size_t kCallers = 16;
+  constexpr size_t kCalls = 20;
+  std::vector<int64_t> slowest_ms(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (size_t i = 0; i < kCalls; ++i) {
+        const auto before = std::chrono::steady_clock::now();
+        auto reply = client.Call("server_stats", "{}", /*idempotent=*/true);
+        const auto elapsed = std::chrono::steady_clock::now() - before;
+        ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+        EXPECT_EQ(reply.value(), "{}");
+        slowest_ms[c] = std::max<int64_t>(
+            slowest_ms[c],
+            std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
+                .count());
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  done.store(true);
+  sampler.join();
+
+  EXPECT_LT(*std::max_element(slowest_ms.begin(), slowest_ms.end()),
+            server_options.keep_alive_timeout_ms / 2);
+  EXPECT_LE(max_held, server_options.threads);
+  EXPECT_GE(max_held, 1u);
+  const ShardClient::Health health = client.health();
+  EXPECT_TRUE(health.healthy);
+  EXPECT_EQ(health.requests, kCallers * kCalls);
+  EXPECT_EQ(health.failures, 0u);
+}
+
 TEST(DistFaultTest, CoordinatorRecontactsRestartedShard) {
   // A shard that went away and came back (new process, same endpoint)
-  // must be reachable again through the same ShardClient: the retry
-  // reconnects from scratch for idempotent calls.
+  // must be reachable again through the same ShardClient — even when its
+  // pool holds several connections, all stale after the restart: the
+  // transparent reconnect (and the retry for idempotent calls) dials the
+  // new process.
   const std::string root = TestRoot("restart");
   auto shard = StartShard(root + "/shard0");
   const uint16_t port = shard->server->port();
@@ -351,10 +443,44 @@ TEST(DistFaultTest, CoordinatorRecontactsRestartedShard) {
   query.query = testutil::NoisyCopy(data, 4, 0.2, 77);
   ASSERT_TRUE(coordinator->Query(query).ok());
 
+  // Static queries run concurrently, so bursts of them grow the pool to
+  // several keep-alive connections.
+  api::RegisterDatasetRequest reg;
+  reg.name = "walks";
+  reg.data = testutil::RandomWalkCollection(600, 16, /*seed=*/9);
+  ASSERT_TRUE(coordinator->RegisterDataset(reg).ok());
+  api::BuildIndexRequest build;
+  build.index = "walk";
+  build.dataset = "walks";
+  build.spec = StreamSpec(1);
+  build.spec.mode = StreamMode::kStatic;
+  ASSERT_TRUE(coordinator->BuildIndex(build).ok());
+  api::QueryRequest static_query = query;
+  static_query.index = "walk";
+  auto burst = [&](const api::QueryRequest& request,
+                   const std::function<void(const Result<api::QueryReport>&)>&
+                       check) {
+    std::vector<std::thread> callers;
+    for (size_t t = 0; t < 4; ++t) {
+      callers.emplace_back([&] {
+        for (int i = 0; i < 5; ++i) check(coordinator->Query(request));
+      });
+    }
+    for (std::thread& caller : callers) caller.join();
+  };
+  for (int round = 0; round < 50 && EstablishedConnectionsTo(port) < 2;
+       ++round) {
+    burst(static_query, [](const Result<api::QueryReport>& r) {
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+    });
+  }
+  ASSERT_GE(EstablishedConnectionsTo(port), 2u);
+
   // Bounce the shard on the same port. Its in-memory state is gone — the
-  // restarted server has no 'live' stream, so the coordinator must relay
-  // the shard's structured NotFound (a wrong answer or a hang would mean
-  // the stale connection was reused badly).
+  // restarted server has neither 'live' nor 'walk', so the coordinator
+  // must relay the shard's structured NotFound on every pooled connection
+  // (a wrong answer or a hang would mean a stale connection was reused
+  // badly).
   shard->server->Stop();
   shard = StartShard(root + "/shard0_reborn");
   HttpServerOptions reuse;
@@ -371,6 +497,12 @@ TEST(DistFaultTest, CoordinatorRecontactsRestartedShard) {
   ASSERT_FALSE(after.ok());
   EXPECT_EQ(after.status().code(), StatusCode::kNotFound);
   EXPECT_NE(after.status().message().find("live"), std::string::npos);
+  burst(static_query, [](const Result<api::QueryReport>& r) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kNotFound)
+        << r.status().ToString();
+    EXPECT_NE(r.status().message().find("walk"), std::string::npos);
+  });
   EXPECT_TRUE(coordinator->ServerStats().shards[0].healthy);
 }
 

@@ -9,11 +9,15 @@
 //
 // Covered: static builds and streaming ingest, exact and approximate
 // search, window queries, kStrict/kClamp watermark semantics, JSON and
-// binary ingest framing, query batches, and a concurrent-ingest run
-// compared at quiesce points.
+// binary ingest framing, query batches, a concurrent-ingest run compared
+// at quiesce points, concurrent static queries beside stream ingest,
+// cached stream answers under ingest, and drop-and-rebuild racing
+// queries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -52,11 +56,30 @@ VariantSpec TestSpec(size_t num_shards, bool streaming) {
   return spec;
 }
 
+/// Holds every query call for a while before the shard answers it, so a
+/// coordinator-side drop and rebuild can complete inside the window.
+class DelayedQueries : public HttpDispatcher {
+ public:
+  DelayedQueries(HttpDispatcher* inner, int delay_ms)
+      : inner_(inner), delay_ms_(delay_ms) {}
+  Result<std::string> Dispatch(const HttpRequestInfo& request) override {
+    if (request.method == "query" || request.method == "query_batch") {
+      std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms_));
+    }
+    return inner_->Dispatch(request);
+  }
+
+ private:
+  HttpDispatcher* inner_;
+  int delay_ms_;
+};
+
 /// One in-process shard server: a complete Palm service behind a real
 /// HTTP listener, indistinguishable on the wire from palm_shardd.
 struct Shard {
   std::unique_ptr<api::Service> service;
   std::unique_ptr<ServiceEndpoint> endpoint;
+  std::unique_ptr<DelayedQueries> delayed;
   std::unique_ptr<HttpServer> server;
 };
 
@@ -64,7 +87,9 @@ class Cluster {
  public:
   /// Builds K shard servers, a coordinator over them, and the
   /// single-process reference service the coordinator is pinned against.
-  Cluster(size_t k, const std::string& root, bool binary_ingest = true) {
+  /// A positive `query_delay_ms` holds every shard-side query that long.
+  Cluster(size_t k, const std::string& root, bool binary_ingest = true,
+          int query_delay_ms = 0) {
     for (size_t s = 0; s < k; ++s) {
       auto shard = std::make_unique<Shard>();
       const std::string shard_root = root + "/shard" + std::to_string(s);
@@ -72,8 +97,13 @@ class Cluster {
       shard->service = api::Service::Create(shard_root).TakeValue();
       shard->endpoint =
           std::make_unique<ServiceEndpoint>(shard->service.get());
-      shard->server =
-          HttpServer::Start(shard->endpoint.get(), {}).TakeValue();
+      HttpDispatcher* dispatcher = shard->endpoint.get();
+      if (query_delay_ms > 0) {
+        shard->delayed =
+            std::make_unique<DelayedQueries>(dispatcher, query_delay_ms);
+        dispatcher = shard->delayed.get();
+      }
+      shard->server = HttpServer::Start(dispatcher, {}).TakeValue();
       shards_.push_back(std::move(shard));
     }
     CoordinatorOptions options;
@@ -113,10 +143,9 @@ std::string TestRoot(const std::string& name) {
 /// sweeps against an un-drained async stream: the match itself is
 /// deterministic (searches see every admitted entry), but how many
 /// partitions exist yet depends on background seal timing.
-void ExpectSameAnswer(Cluster& cluster, const api::QueryRequest& request,
+void ExpectSameReport(const Result<api::QueryReport>& dist_result,
+                      const Result<api::QueryReport>& ref_result,
                       const std::string& what, bool compare_counters = true) {
-  auto dist_result = cluster.coordinator().Query(request);
-  auto ref_result = cluster.reference().Query(request);
   ASSERT_EQ(dist_result.ok(), ref_result.ok())
       << what << ": dist="
       << (dist_result.ok() ? "ok" : dist_result.status().ToString())
@@ -149,6 +178,47 @@ void ExpectSameAnswer(Cluster& cluster, const api::QueryRequest& request,
   EXPECT_EQ(dist.counters.partitions_skipped, ref.counters.partitions_skipped)
       << what;
   EXPECT_FALSE(dist.degraded) << what;
+}
+
+void ExpectSameAnswer(Cluster& cluster, const api::QueryRequest& request,
+                      const std::string& what, bool compare_counters = true) {
+  ExpectSameReport(cluster.coordinator().Query(request),
+                   cluster.reference().Query(request), what, compare_counters);
+}
+
+/// Same match: found, and when found the global id and the distance bits.
+bool SameMatch(const api::QueryReport& a, const api::QueryReport& b) {
+  return a.found == b.found &&
+         (!a.found || (a.series_id == b.series_id && a.distance == b.distance));
+}
+
+/// Builds `index` over `dataset` (both already registered on each side)
+/// through the coordinator, and optionally under the same name on the
+/// reference.
+void BuildBoth(Cluster& cluster, const std::string& index,
+               const std::string& dataset, size_t k, bool reference = true) {
+  api::BuildIndexRequest build;
+  build.index = index;
+  build.dataset = dataset;
+  build.spec = TestSpec(k, /*streaming=*/false);
+  auto dist_build = cluster.coordinator().BuildIndex(build);
+  ASSERT_TRUE(dist_build.ok()) << dist_build.status().ToString();
+  if (reference) {
+    auto ref_build = cluster.reference().BuildIndex(build);
+    ASSERT_TRUE(ref_build.ok()) << ref_build.status().ToString();
+  }
+}
+
+api::IngestBatchRequest Slice(const series::SeriesCollection& data,
+                              size_t begin, size_t count) {
+  api::IngestBatchRequest ingest;
+  ingest.stream = "live";
+  ingest.batch = series::SeriesCollection(data.length());
+  for (size_t i = begin; i < begin + count && i < data.size(); ++i) {
+    ingest.batch.Append(data[i]);
+    ingest.timestamps.push_back(static_cast<int64_t>(i));
+  }
+  return ingest;
 }
 
 void QuerySweep(Cluster& cluster, const std::string& index,
@@ -561,8 +631,261 @@ TEST_P(DistOracleTest, ValidationErrorsMirrorTheService) {
   EXPECT_EQ(dist_result.status().message(), ref_result.status().message());
 }
 
+TEST_P(DistOracleTest, ConcurrentStaticQueriesBesideStreamIngest) {
+  // Static queries take no lock at the coordinator and share each shard's
+  // connection pool with the stream's ingest frames. Under that traffic
+  // every static answer — match, distance, timestamp and counters — must
+  // still be bit-for-bit the single-process sharded answer.
+  const size_t k = GetParam();
+  const std::string root = TestRoot("concurrent_static" + std::to_string(k));
+  Cluster cluster(k, root);
+  const auto data = testutil::RandomWalkCollection(400, 32, /*seed=*/61 + k);
+  api::RegisterDatasetRequest reg;
+  reg.name = "walks";
+  reg.data = data;
+  ASSERT_TRUE(cluster.coordinator().RegisterDataset(reg).ok());
+  ASSERT_TRUE(cluster.reference().RegisterDataset("walks", data, nullptr).ok());
+  BuildBoth(cluster, "idx", "walks", k);
+  if (HasFatalFailure()) return;
+  api::CreateStreamRequest create;
+  create.stream = "live";
+  create.spec = TestSpec(k, /*streaming=*/true);
+  ASSERT_TRUE(cluster.coordinator().CreateStream(create).ok());
+
+  constexpr size_t kThreads = 8;
+  constexpr size_t kPerThread = 12;
+  std::vector<api::QueryRequest> requests;
+  std::vector<Result<api::QueryReport>> expected;
+  for (size_t q = 0; q < kThreads * kPerThread; ++q) {
+    api::QueryRequest request;
+    request.index = "idx";
+    request.query = testutil::NoisyCopy(data, (q * 13) % data.size(), 0.3,
+                                        3000 + q);
+    request.exact = (q % 3 != 0);
+    request.approx_candidates = 1 + static_cast<int>(q % 5);
+    if (q % 4 == 3) {
+      request.window = core::TimeWindow{static_cast<int64_t>(q),
+                                        static_cast<int64_t>(q + 200)};
+    }
+    expected.push_back(cluster.reference().Query(request));
+    requests.push_back(std::move(request));
+  }
+
+  const auto feed = testutil::RandomWalkCollection(240, 32, /*seed=*/71);
+  std::thread ingester([&] {
+    for (size_t begin = 0; begin < feed.size(); begin += 20) {
+      auto report = cluster.coordinator().IngestBatch(Slice(feed, begin, 20));
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+    }
+  });
+  std::vector<std::thread> queriers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    queriers.emplace_back([&, t] {
+      for (size_t i = 0; i < kPerThread; ++i) {
+        const size_t q = t * kPerThread + i;
+        ExpectSameReport(cluster.coordinator().Query(requests[q]),
+                         expected[q], "concurrent static query " +
+                                          std::to_string(q));
+      }
+    });
+  }
+  for (std::thread& querier : queriers) querier.join();
+  ingester.join();
+
+  api::DrainStreamRequest drain;
+  drain.stream = "live";
+  auto drained = cluster.coordinator().DrainStream(drain);
+  ASSERT_TRUE(drained.ok()) << drained.status().ToString();
+  EXPECT_EQ(drained.value().total_entries, feed.size());
+}
+
+TEST_P(DistOracleTest, CachedStreamAnswersStayExactUnderIngest) {
+  // The answer cache is keyed by the stream's version stamp, which ingest
+  // moves while queries read it. Every reply — cache hit or fresh fold —
+  // must be the exact answer after some number of batches that were
+  // admitted between the call's start and its end.
+  const size_t k = GetParam();
+  const std::string root = TestRoot("cached_stream" + std::to_string(k));
+  Cluster cluster(k, root);
+  cluster.coordinator().EnableQueryCache(api::QueryCacheOptions{});
+  const auto data = testutil::RandomWalkCollection(240, 32, /*seed=*/83 + k);
+  constexpr size_t kBatch = 30;
+  const size_t num_batches = data.size() / kBatch;
+
+  api::CreateStreamRequest create;
+  create.stream = "live";
+  create.spec = TestSpec(k, /*streaming=*/true);
+  ASSERT_TRUE(cluster.coordinator().CreateStream(create).ok());
+  ASSERT_TRUE(cluster.reference().CreateStream(create).ok());
+
+  // answers[b][p]: the exact answer to probe p after b batches.
+  std::vector<api::QueryRequest> probes;
+  for (size_t p = 0; p < 6; ++p) {
+    api::QueryRequest request;
+    request.index = "live";
+    request.query = testutil::NoisyCopy(data, p * 37, 0.3, 4000 + p);
+    probes.push_back(std::move(request));
+  }
+  std::vector<std::vector<api::QueryReport>> answers(num_batches + 1);
+  for (size_t b = 1; b <= num_batches; ++b) {
+    ASSERT_TRUE(cluster.reference()
+                    .IngestBatch(Slice(data, (b - 1) * kBatch, kBatch))
+                    .ok());
+    for (const api::QueryRequest& probe : probes) {
+      auto answer = cluster.reference().Query(probe);
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      answers[b].push_back(answer.value());
+    }
+  }
+
+  ASSERT_TRUE(cluster.coordinator().IngestBatch(Slice(data, 0, kBatch)).ok());
+  std::atomic<size_t> started{1};
+  std::atomic<size_t> completed{1};
+  std::atomic<bool> done{false};
+  std::vector<std::thread> queriers;
+  for (size_t t = 0; t < 4; ++t) {
+    queriers.emplace_back([&, t] {
+      for (size_t n = t; !done.load(); ++n) {
+        const size_t p = n % probes.size();
+        const size_t lo = completed.load();
+        auto reply = cluster.coordinator().Query(probes[p]);
+        const size_t hi = started.load();
+        ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+        bool matched = false;
+        for (size_t b = lo; b <= hi && !matched; ++b) {
+          matched = SameMatch(reply.value(), answers[b][p]);
+        }
+        EXPECT_TRUE(matched) << "probe " << p << " answered id "
+                             << reply.value().series_id << " outside batches ["
+                             << lo << ", " << hi << "]";
+      }
+    });
+  }
+  for (size_t b = 2; b <= num_batches; ++b) {
+    // Let the queriers fill and hit the cache at each version.
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    started.store(b);
+    ASSERT_TRUE(cluster.coordinator()
+                    .IngestBatch(Slice(data, (b - 1) * kBatch, kBatch))
+                    .ok());
+    completed.store(b);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  done.store(true);
+  for (std::thread& querier : queriers) querier.join();
+  EXPECT_GT(cluster.coordinator().ServerStats().cache_hits, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(ShardCounts, DistOracleTest,
                          ::testing::Values(1, 2, 4));
+
+TEST(DistDropRaceTest, RebuildUnderTheSameNameServesExactAnswersOrNotFound) {
+  // Static queries no longer hold the handle while it is dropped, so
+  // their shard calls can reach a replacement index built under the same
+  // name from another dataset. Every reply must still be the exact answer
+  // for one of the two datasets, or a structured not_found — never a
+  // fold through the wrong id map, and never an answer cached for the
+  // dropped index once the replacement is live. Shard-side queries are
+  // held long enough for a whole drop and rebuild to land inside them.
+  constexpr size_t kShards = 2;
+  const std::string root = TestRoot("drop_race");
+  Cluster cluster(kShards, root, /*binary_ingest=*/true,
+                  /*query_delay_ms=*/20);
+  cluster.coordinator().EnableQueryCache(api::QueryCacheOptions{});
+  const series::SeriesCollection datasets[2] = {
+      testutil::RandomWalkCollection(300, 32, /*seed=*/91),
+      testutil::RandomWalkCollection(300, 32, /*seed=*/92)};
+  const std::string names[2] = {"a", "b"};
+  std::vector<api::QueryRequest> probes;
+  for (size_t p = 0; p < 8; ++p) {
+    api::QueryRequest request;
+    request.index = "idx";
+    request.query = testutil::NoisyCopy(datasets[p % 2], p * 29, 0.3, 600 + p);
+    probes.push_back(std::move(request));
+  }
+  // answers[d][p]: the exact answer to probe p over dataset d.
+  std::vector<api::QueryReport> answers[2];
+  for (size_t d = 0; d < 2; ++d) {
+    api::RegisterDatasetRequest reg;
+    reg.name = names[d];
+    reg.data = datasets[d];
+    ASSERT_TRUE(cluster.coordinator().RegisterDataset(reg).ok());
+    ASSERT_TRUE(
+        cluster.reference().RegisterDataset(names[d], datasets[d], nullptr)
+            .ok());
+    BuildBoth(cluster, "idx", names[d], kShards);
+    if (HasFatalFailure()) return;
+    for (const api::QueryRequest& probe : probes) {
+      auto answer = cluster.reference().Query(probe);
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      answers[d].push_back(answer.value());
+    }
+    ASSERT_TRUE(cluster.reference().DropIndex("idx").ok());
+    if (d == 0) {
+      ASSERT_TRUE(
+          cluster.coordinator().DropIndex(api::DropIndexRequest{"idx"}).ok());
+    }
+  }
+  // The coordinator now serves "idx" over dataset b.
+
+  auto check = [&](const Result<api::QueryReport>& reply, size_t p) {
+    if (!reply.ok()) {
+      EXPECT_EQ(reply.status().code(), StatusCode::kNotFound)
+          << reply.status().ToString();
+      return;
+    }
+    EXPECT_TRUE(SameMatch(reply.value(), answers[0][p]) ||
+                SameMatch(reply.value(), answers[1][p]))
+        << "probe " << p << " answered id " << reply.value().series_id
+        << " at distance " << reply.value().distance
+        << ", the exact answer over neither dataset";
+  };
+  std::atomic<bool> done{false};
+  std::vector<std::thread> queriers;
+  for (size_t t = 0; t < 4; ++t) {
+    queriers.emplace_back([&, t] {
+      for (size_t n = t; !done.load(); ++n) {
+        const size_t p = n % probes.size();
+        if (t == 3) {
+          // The batch path folds per entry too.
+          api::QueryBatchRequest batch;
+          batch.queries = {probes[p], probes[(p + 1) % probes.size()]};
+          api::QueryBatchResponse response =
+              cluster.coordinator().QueryBatch(batch);
+          for (size_t i = 0; i < 2; ++i) {
+            const api::QueryBatchResponse::Entry& entry = response.results[i];
+            check(entry.ok ? Result<api::QueryReport>(entry.report)
+                           : Result<api::QueryReport>(
+                                 StatusFromApiError(entry.error)),
+                  (p + i) % probes.size());
+          }
+          continue;
+        }
+        check(cluster.coordinator().Query(probes[p]), p);
+      }
+    });
+  }
+  size_t live = 1;
+  for (size_t round = 0; round < 30; ++round) {
+    ASSERT_TRUE(
+        cluster.coordinator().DropIndex(api::DropIndexRequest{"idx"}).ok());
+    live = 1 - live;
+    BuildBoth(cluster, "idx", names[live], kShards, /*reference=*/false);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  done.store(true);
+  for (std::thread& querier : queriers) querier.join();
+
+  // Quiesced: the live dataset's answers only, fresh and then cached.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t p = 0; p < probes.size(); ++p) {
+      auto reply = cluster.coordinator().Query(probes[p]);
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      EXPECT_TRUE(SameMatch(reply.value(), answers[live][p]))
+          << "pass " << pass << " probe " << p;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace dist

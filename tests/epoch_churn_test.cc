@@ -588,6 +588,35 @@ void RunDropRace(const std::string& root_name,
         }
       });
     }
+    // Batched callers: QueryGroup's cache probe and bucketing read the
+    // handle too, and a static index's exact members share one scan.
+    for (size_t t = 0; t < 2; ++t) {
+      queriers.emplace_back([&, t] {
+        bool saw_not_found = false;
+        Rng rng(800 + t);
+        while (!stop.load(std::memory_order_acquire) || !saw_not_found) {
+          std::vector<QueryRequest> batch(4);
+          for (size_t i = 0; i < batch.size(); ++i) {
+            batch[i].index = "live";
+            batch[i].query = testutil::NoisyCopy(
+                data, rng.NextBounded(data.size()), 0.3, 900 + t);
+            batch[i].exact = i != 3;
+          }
+          for (const Result<QueryReport>& r : service->QueryBatch(batch, 1)) {
+            if (r.ok()) {
+              EXPECT_TRUE(r.value().found);
+            } else {
+              ASSERT_EQ(r.status().code(), StatusCode::kNotFound)
+                  << r.status().ToString();
+              if (!saw_not_found) {
+                saw_not_found = true;
+                not_found_seen.fetch_add(1, std::memory_order_acq_rel);
+              }
+            }
+          }
+        }
+      });
+    }
     std::thread lister([&] {
       while (!stop.load(std::memory_order_acquire)) {
         for (const auto& info : service->ListIndexes().indexes) {
@@ -609,7 +638,8 @@ void RunDropRace(const std::string& root_name,
     for (std::thread& q : queriers) q.join();
     lister.join();
     // Post-drop, every querier observed the index gone.
-    EXPECT_EQ(not_found_seen.load(std::memory_order_acquire), 2u);
+    EXPECT_EQ(not_found_seen.load(std::memory_order_acquire),
+              queriers.size());
     EXPECT_TRUE(service->ListIndexes().indexes.empty());
   }
   std::filesystem::remove_all(root);
